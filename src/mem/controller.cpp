@@ -77,9 +77,9 @@ MemoryController::noteTransferBits(Addr addr, unsigned bits)
 const CacheBlock &
 MemoryController::storedImage(Addr addr)
 {
-    auto it = image_.find(addr);
-    if (it == image_.end()) {
-        it = image_.emplace(addr, content_(addr)).first;
+    const auto [it, inserted] = image_.emplace(addr);
+    if (inserted) {
+        it->second = content_(addr);
         imageWritten(addr);
         if (fault_.enabled)
             applyStuckBits(addr);
@@ -94,16 +94,18 @@ MemoryController::imageOf(Addr addr)
     return it == image_.end() ? nullptr : &it->second;
 }
 
-void
+const CacheBlock &
 MemoryController::setImage(Addr addr, const CacheBlock &stored)
 {
-    image_[addr] = stored;
+    CacheBlock &img = image_[addr];
+    img = stored;
     imageWritten(addr);
     if (fault_.enabled) {
         fault_.faulted.erase(addr);
         fault_.silentKnown.erase(addr);
         applyStuckBits(addr);
     }
+    return img;
 }
 
 void

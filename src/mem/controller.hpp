@@ -234,8 +234,11 @@ class MemoryController
 
     /** Direct access to the stored DRAM image (fault injection). */
     CacheBlock *imageOf(Addr addr);
-    /** Overwrite the stored image (fault injection). */
-    void setImage(Addr addr, const CacheBlock &stored);
+    /**
+     * Overwrite the stored image (fault injection); returns it as
+     * stored, stuck bits applied (valid until the next image insert).
+     */
+    const CacheBlock &setImage(Addr addr, const CacheBlock &stored);
     /** Distinct blocks with a stored image (touched footprint). */
     u64 imageBlockCount() const { return image_.size(); }
     /** Allocated image hash slots (load-factor observability). */
@@ -244,10 +247,10 @@ class MemoryController
     /**
      * Pre-size the stored-image and write-timestamp maps for an
      * expected touched footprint of @p blocks. Purely an allocation
-     * hint — variants override to also reserve their check sidecars
-     * (and must call the base).
+     * hint; the check sidecars start empty because they only hold
+     * faulted blocks.
      */
-    virtual void
+    void
     reserveFootprint(u64 blocks)
     {
         image_.reserve(blocks);

@@ -17,8 +17,8 @@ CopController::readImpl(Addr addr, Cycle now)
 
     // First touch: the block was written to DRAM before the trace window
     // through the same encoder.
-    auto it = image_.find(addr);
-    if (it == image_.end()) {
+    const CacheBlock *image = imageOf(addr);
+    if (image == nullptr) {
         const CacheBlock &data = initialContent(addr);
         const CopEncodeResult enc = encodeBlock(data);
         if (enc.status == EncodeStatus::AliasRejected) {
@@ -32,7 +32,8 @@ CopController::readImpl(Addr addr, Cycle now)
             return result;
         }
         noteTransferBits(addr, copTransferBits(enc, codec_.config()));
-        setImage(addr, enc.stored); // through setImage: stuck bits apply
+        // Through setImage: stuck bits apply.
+        image = &setImage(addr, enc.stored);
         if (!faultInjectionEnabled()) {
             // The image was created by the line above, so nothing can
             // have corrupted it before this fill: decoding it is the
@@ -48,12 +49,11 @@ CopController::readImpl(Addr addr, Cycle now)
                     addr, now);
             return result;
         }
-        it = image_.find(addr);
     }
 
     const Cycle data_done = dramRead(addr, now);
     const CopDecodeResult &dec =
-        warmOrDecode(warmDecode_, codec_, it->second, decodeScratch_);
+        warmOrDecode(warmDecode_, codec_, *image, decodeScratch_);
     result.complete = data_done + decodeLatency_;
     result.dramAccesses = 1;
     result.data = dec.data;

@@ -183,7 +183,8 @@ MemReadResult
 CopErController::readImpl(Addr addr, Cycle now)
 {
     // First touch: initial memory was stored through the same encoder.
-    if (image_.find(addr) == image_.end()) {
+    const CacheBlock *image = imageOf(addr);
+    if (image == nullptr) {
         const CacheBlock &data = initialContent(addr);
         const CopEncodeResult enc = encodeBlock(data);
         // Incompressible blocks ship raw (pointer in place of check
@@ -191,7 +192,7 @@ CopErController::readImpl(Addr addr, Cycle now)
         // stale shortening for the address.
         noteTransferBits(addr, copTransferBits(enc, codec_.config()));
         if (enc.status == EncodeStatus::Protected) {
-            setImage(addr, enc.stored);
+            image = &setImage(addr, enc.stored);
             if (!faultInjectionEnabled()) {
                 // The image was created by the line above, so nothing
                 // can have corrupted it before this fill: decoding it
@@ -206,12 +207,13 @@ CopErController::readImpl(Addr addr, Cycle now)
                 return result;
             }
         } else {
-            setImage(addr, storeIncompressible(addr, data, now, false, 0));
+            image = &setImage(
+                addr, storeIncompressible(addr, data, now, false, 0));
         }
     }
 
     MemReadResult result;
-    const CacheBlock &stored = *imageOf(addr);
+    const CacheBlock &stored = *image;
     const Cycle data_done = dramRead(addr, now);
     result.dramAccesses = 1;
 

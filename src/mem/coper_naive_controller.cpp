@@ -77,7 +77,8 @@ CopErNaiveController::readImpl(Addr addr, Cycle now)
 {
     MemReadResult result;
 
-    if (image_.find(addr) == image_.end()) {
+    const CacheBlock *image = imageOf(addr);
+    if (image == nullptr) {
         const CacheBlock &data = initialContent(addr);
         const CopEncodeResult enc = encodeBlock(data);
         if (enc.status == EncodeStatus::AliasRejected) {
@@ -90,7 +91,7 @@ CopErNaiveController::readImpl(Addr addr, Cycle now)
             return result;
         }
         noteTransferBits(addr, copTransferBits(enc, codec_.config()));
-        setImage(addr, enc.stored);
+        image = &setImage(addr, enc.stored);
         if (!faultInjectionEnabled()) {
             // The image was created by the line above, so nothing can
             // have corrupted it before this fill: decoding it is the
@@ -117,7 +118,7 @@ CopErNaiveController::readImpl(Addr addr, Cycle now)
         }
     }
 
-    const CacheBlock &stored = *imageOf(addr);
+    const CacheBlock &stored = *image;
     const Cycle data_done = dramRead(addr, now);
     result.dramAccesses = 1;
 
