@@ -163,6 +163,20 @@ INSTANTIATE_TEST_SUITE_P(
         return std::to_string(info.param.checkBytes) + "byte";
     });
 
+} // namespace
+
+// Print a code parameter by its shape, not its address: googletest puts
+// the printed parameter into each listed test name, and an address would
+// change those names every time the binary is relinked or loaded.
+static void
+PrintTo(const HsiaoCode *code, std::ostream *os)
+{
+    *os << "HsiaoCode(" << code->codeBits() << "," << code->dataBits()
+        << ")";
+}
+
+namespace {
+
 class SyndromeProperty
     : public ::testing::TestWithParam<const HsiaoCode *>
 {
