@@ -264,10 +264,6 @@ class GridRunner
         top_timing.add("bench", name_);
         top_timing.add("jobs", static_cast<u64>(opts_.effectiveJobs()));
         top_timing.add("sim_threads", static_cast<u64>(simThreads_));
-        top_timing.add("sim_threads_requested",
-                       static_cast<u64>(opts_.simThreads));
-        top_timing.add("sim_threads_clamped",
-                       static_cast<u64>(simThreadsClamped_ ? 1 : 0));
         top_timing.add("fast_timing", static_cast<u64>(fastTiming_ ? 1 : 0));
         top_timing.add("fast_timing_clamped",
                        static_cast<u64>(fastTimingClamped_ ? 1 : 0));
@@ -297,47 +293,31 @@ class GridRunner
     }
 
     /**
-     * Propagate the requested per-cell simThreads into every cell's
-     * config. Grid workers and shard workers multiply, so when the
-     * grid itself is parallel (effectiveJobs > 1) a request for
-     * intra-cell threading is clamped to 1 — loudly, because the user
-     * asked for something the run is not doing.
+     * Propagate the fast-timing request into every cell's config.
+     * Grid workers and fast-timing shards multiply, so when the grid
+     * itself is parallel (effectiveJobs > 1) the request is clamped
+     * off — loudly, because the user asked for something the run is
+     * not doing.
      */
     void
     applySimThreads()
     {
-        simThreads_ = opts_.simThreads;
-        if (simThreads_ != 1 && opts_.effectiveJobs() > 1 &&
-            cells_.size() > 1) {
-            std::fprintf(
-                stderr,
-                "[runner] %s: --sim-threads %u ignored (clamped to 1): "
-                "%u grid jobs already oversubscribe the host; use "
-                "--serial or --jobs 1 for intra-cell threading\n",
-                name_.c_str(), opts_.simThreads, opts_.effectiveJobs());
-            simThreads_ = 1;
-            simThreadsClamped_ = true;
-        }
-        for (Cell &cell : cells_)
-            cell.cfg.simThreads = simThreads_;
-
-        // Fast timing rides on intra-cell threads: with simThreads
-        // clamped to 1 there is nothing to shard, so the request is
-        // dropped with the same loud clamp (and recorded in the timing
-        // sidecar as fast_timing_clamped).
         fastTiming_ = opts_.fastTiming;
-        if (fastTiming_ && simThreads_ == 1) {
+        if (fastTiming_ && opts_.effectiveJobs() > 1 && cells_.size() > 1) {
             std::fprintf(
                 stderr,
-                "[runner] %s: --fast-timing ignored (clamped off): it "
-                "needs intra-cell threads (--sim-threads >= 2 under "
-                "--serial or --jobs 1)\n",
-                name_.c_str());
+                "[runner] %s: --fast-timing ignored (clamped off): %u "
+                "grid jobs already oversubscribe the host; use --serial "
+                "or --jobs 1 for fast timing\n",
+                name_.c_str(), opts_.effectiveJobs());
             fastTiming_ = false;
             fastTimingClamped_ = true;
         }
-        for (Cell &cell : cells_)
+        simThreads_ = fastTiming_ ? opts_.simThreads : 1;
+        for (Cell &cell : cells_) {
+            cell.cfg.simThreads = simThreads_;
             cell.cfg.fastTiming = fastTiming_;
+        }
     }
 
     /** Point a cell's trace sink into COP_TRACE_STATS, if set. */
@@ -413,7 +393,6 @@ class GridRunner
     double totalMs_ = 0;
     double elapsedMs_ = 0;
     unsigned simThreads_ = 1;
-    bool simThreadsClamped_ = false;
     bool fastTiming_ = false;
     bool fastTimingClamped_ = false;
     JsonObjectBuilder derived_;

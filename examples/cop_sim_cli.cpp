@@ -20,13 +20,13 @@
  *     --trace-stats <file>   write a JSONL stats trace (see
  *                            scripts/agg_stats.py)
  *     --trace-interval <n>   epochs between trace snapshots
- *     --sim-threads <n>      sharded-simulation thread budget; results
- *                            are byte-identical to 1 (0 = all cores)
  *     --fast-timing          relaxed-consistency fast mode: true
  *                            shard parallelism under --sim-threads,
  *                            deterministic but NOT byte-identical to
  *                            the exact model (divergence is reported
  *                            in the ft_* results fields)
+ *     --sim-threads <n>      fast-timing shard budget (0 = all cores);
+ *                            needs --fast-timing (exact runs are serial)
  *     --ft-quantum <n>       epochs per core between fast-timing
  *                            reconciliation barriers (default 64)
  *     --trace-in <file>      replay a captured trace instead of the
@@ -151,7 +151,8 @@ main(int argc, char **argv)
             cfg.traceStatsEpochInterval =
                 parsePositiveU64(next(), "--trace-interval");
         } else if (arg == "--sim-threads") {
-            // 0 is the resolve-to-hardware-concurrency request.
+            // 0 is the resolve-to-hardware-concurrency request; the
+            // System rejects any value but 1 without --fast-timing.
             cfg.simThreads = static_cast<unsigned>(
                 parseU64(next(), "--sim-threads"));
         } else if (arg == "--fast-timing") {

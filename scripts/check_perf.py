@@ -29,25 +29,14 @@ away, apply the `perf-override` label to the PR — the CI job skips
 itself when the label is present — and refresh the baseline file per
 EXPERIMENTS.md.
 
-A sharded-core gate covers the thread-parallel simulation path:
-`micro_system --quick --threads 4` records, per scheme, the wall
-speedup of simThreads=4 over simThreads=1 plus the deterministic
-offload telemetry (warm-store hit rates, and the Amdahl speedup
-modeled from them). The modeled `sharded_speedup_min` scalar and the
-COP-scheme offload hit rates are pure functions of the seeded
-simulation, so they gate on any host; the wall-clock ratio is gated
-only when the recording host had >= 4 CPUs (on smaller hosts — like
-single-CPU CI containers — a wall speedup is physically impossible and
-the check is skipped loudly).
-
-The same thread-sweep results carry the fast-timing gates
-(SystemConfig::fastTiming, DESIGN.md §8.2): the IPC divergence of the
-relaxed mode vs. the simThreads=1 oracle on the default profile is a
-ratio of two deterministic simulated IPCs and must stay under its
-contract ceiling (2% for cop4) on any host, while the fast-timing wall
-speedup — the whole point of trading byte-identity away — is gated
-only when the recording host had >= 4 CPUs, like the sharded wall
-gate.
+The fast-timing gates (SystemConfig::fastTiming, DESIGN.md §8) read
+`micro_system --quick --threads 4`: the IPC divergence of the relaxed
+mode vs. the serial oracle on the default profile is a ratio of two
+deterministic simulated IPCs and must stay under its contract ceiling
+(2% for cop4) on any host, while the fast-timing wall speedup — the
+whole point of trading byte-identity away — is gated only when the
+recording host had >= 4 CPUs (on smaller hosts a wall speedup is
+physically impossible and the check is skipped loudly).
 
 A fourth gate is fully deterministic: `fault_campaign --quick` records
 the fraction of injected 2-flip raw events the on-die SEC filter
@@ -69,7 +58,6 @@ Usage: scripts/check_perf.py
          [--bandwidth-results bench/results/fig13_bandwidth.json]
          [--fault-results bench/results/fault_campaign.json]
          [--max-regression 0.30]
-         [--sharded-speedup-min 1.8]
 """
 
 import argparse
@@ -120,9 +108,6 @@ def main() -> int:
     parser.add_argument("--max-regression", type=float, default=0.30,
                         help="maximum allowed fractional drop (0.30 = "
                              "fail below 70%% of baseline)")
-    parser.add_argument("--sharded-speedup-min", type=float, default=1.8,
-                        help="floor for the deterministic modeled "
-                             "sharded speedup (min over cop4/coper)")
     parser.add_argument("--fast-timing-speedup-min", type=float,
                         default=2.5,
                         help="floor for the fast-timing wall speedup "
@@ -130,7 +115,7 @@ def main() -> int:
                              "the recording host had >= 4 CPUs)")
     parser.add_argument("--ft-divergence-max", type=float, default=0.02,
                         help="ceiling for the fast-timing IPC "
-                             "divergence vs. the simThreads=1 oracle "
+                             "divergence vs. the serial oracle "
                              "on the default profile (cop4)")
     args = parser.parse_args()
 
@@ -170,87 +155,44 @@ def main() -> int:
         ran_any = True
         with open(args.system_threads_results) as f:
             sweep = json.load(f)
-        # Deterministic gates first: the modeled speedup and the warm-
-        # store hit rates are pure functions of the seeded simulation.
-        smin = float(sweep["sharded_speedup_min"])
-        smin_ok = smin >= args.sharded_speedup_min
-        print(f"sharded/sharded_speedup_min: {smin:.2f}x "
-              f"(floor {args.sharded_speedup_min:.2f}x) "
-              f"... {'ok' if smin_ok else 'FAIL'}")
-        if not smin_ok:
-            failed = True
-            print("sharded: the modeled sharded speedup fell below its "
-                  "floor — the workers are no longer delivering the "
-                  "offloadable work ahead of the merge loop.",
-                  file=sys.stderr)
-        for key in ("cop4", "coper"):
-            hr = float(sweep["offload_hit_rate"][key])
-            hr_ok = hr >= 0.75
-            print(f"sharded/offload_hit_rate/{key}: {hr:.3f} "
-                  f"(floor 0.75) ... {'ok' if hr_ok else 'FAIL'}")
-            if not hr_ok:
-                failed = True
-                print(f"sharded: warm-store hit rate for {key} "
-                      "collapsed — staged results no longer cover the "
-                      "inline hot paths.", file=sys.stderr)
-        # Wall-clock ratio only means something with real parallelism
-        # under it: skip (loudly) when the recording host was too small.
         host_cpus = int(sweep["host_cpus"])
+        # The IPC divergence vs. the serial oracle is a ratio of two
+        # deterministic simulated IPCs, so it gates on any host; the
+        # wall speedup needs real cores under it.
+        div = float(sweep["ft_ipc_divergence"]["cop4"])
+        div_ok = div <= args.ft_divergence_max
+        print(f"fast-timing/ft_ipc_divergence/cop4: {div:.4f} "
+              f"(ceiling {args.ft_divergence_max:.2f}) "
+              f"... {'ok' if div_ok else 'FAIL'}")
+        if not div_ok:
+            failed = True
+            print("fast-timing: the relaxed mode's IPC diverged "
+                  "from the serial oracle beyond its contract on "
+                  "the default profile — the ambient-contention "
+                  "model is mis-calibrated or broken.",
+                  file=sys.stderr)
         if host_cpus >= 4:
-            wall = float(sweep["wall_speedup"]["cop4"])
-            wall_ok = wall >= 1.1
-            print(f"sharded/wall_speedup/cop4: {wall:.2f}x "
-                  f"(floor 1.10x, host_cpus={host_cpus}) "
-                  f"... {'ok' if wall_ok else 'FAIL'}")
-            if not wall_ok:
+            ftw = float(sweep["fast_timing_speedup_min"])
+            ftw_ok = ftw >= args.fast_timing_speedup_min
+            print(f"fast-timing/fast_timing_speedup_min: "
+                  f"{ftw:.2f}x "
+                  f"(floor {args.fast_timing_speedup_min:.2f}x, "
+                  f"host_cpus={host_cpus}) "
+                  f"... {'ok' if ftw_ok else 'FAIL'}")
+            if not ftw_ok:
                 failed = True
-                print("sharded: simThreads=4 is not beating serial on "
-                      "a multi-core host — the sharded path costs more "
-                      "than it hides.", file=sys.stderr)
+                print("fast-timing: the relaxed mode no longer "
+                      "beats the serial run on a "
+                      "multi-core host — the shard barriers or "
+                      "the partitioned LLC are costing more than "
+                      "the parallelism pays.", file=sys.stderr)
         else:
-            print(f"sharded/wall_speedup: skipped (host_cpus="
-                  f"{host_cpus} < 4 — no parallelism to measure; the "
-                  "modeled gate above still applies)")
-        # Fast-timing gates. The IPC divergence vs. the simThreads=1
-        # oracle is a ratio of two deterministic simulated IPCs, so it
-        # gates on any host; the wall speedup again needs real cores
-        # under it. Guarded on key presence so the gate still accepts
-        # results files recorded before the fast-timing mode existed.
-        if "ft_ipc_divergence" in sweep:
-            div = float(sweep["ft_ipc_divergence"]["cop4"])
-            div_ok = div <= args.ft_divergence_max
-            print(f"fast-timing/ft_ipc_divergence/cop4: {div:.4f} "
-                  f"(ceiling {args.ft_divergence_max:.2f}) "
-                  f"... {'ok' if div_ok else 'FAIL'}")
-            if not div_ok:
-                failed = True
-                print("fast-timing: the relaxed mode's IPC diverged "
-                      "from the serial oracle beyond its contract on "
-                      "the default profile — the ambient-contention "
-                      "model is mis-calibrated or broken.",
-                      file=sys.stderr)
-            if host_cpus >= 4:
-                ftw = float(sweep["fast_timing_speedup_min"])
-                ftw_ok = ftw >= args.fast_timing_speedup_min
-                print(f"fast-timing/fast_timing_speedup_min: "
-                      f"{ftw:.2f}x "
-                      f"(floor {args.fast_timing_speedup_min:.2f}x, "
-                      f"host_cpus={host_cpus}) "
-                      f"... {'ok' if ftw_ok else 'FAIL'}")
-                if not ftw_ok:
-                    failed = True
-                    print("fast-timing: the relaxed mode no longer "
-                          "beats the byte-identical ceiling on a "
-                          "multi-core host — the shard barriers or "
-                          "the partitioned LLC are costing more than "
-                          "the parallelism pays.", file=sys.stderr)
-            else:
-                print(f"fast-timing/fast_timing_speedup_min: skipped "
-                      f"(host_cpus={host_cpus} < 4 — no parallelism "
-                      "to measure; the divergence gate above still "
-                      "applies)")
+            print(f"fast-timing/fast_timing_speedup_min: skipped "
+                  f"(host_cpus={host_cpus} < 4 — no parallelism "
+                  "to measure; the divergence gate above still "
+                  "applies)")
     else:
-        print(f"sharded: {args.system_threads_results} not found, "
+        print(f"fast-timing: {args.system_threads_results} not found, "
               "skipping gate")
 
     if os.path.exists(args.bandwidth_results):

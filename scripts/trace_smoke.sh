@@ -37,7 +37,7 @@ for ((c = 0; c < CORES; ++c)); do
         >/dev/null
 done
 
-echo "== replay grid (synthetic vs bin/text/gz, serial + sharded)"
+echo "== replay grid (synthetic vs bin/text/gz)"
 for scheme in cop4 coper; do
     "$CLI" --bench "$BENCH" --scheme "$scheme" --cores "$CORES" \
         --epochs "$EPOCHS" >"$WORK/synth.$scheme"
@@ -48,12 +48,6 @@ for scheme in cop4 coper; do
         cmp "$WORK/synth.$scheme" "$WORK/replay.$scheme.$ext"
         echo "   $scheme/$ext: byte-identical"
     done
-    # Sharded replay must match too (coordinator-authoritative streams).
-    "$CLI" --bench "$BENCH" --scheme "$scheme" --sim-threads 4 \
-        --trace-in "$WORK/t.c0.coptrc" --trace-in "$WORK/t.c1.coptrc" \
-        >"$WORK/replay.$scheme.sharded"
-    cmp "$WORK/synth.$scheme" "$WORK/replay.$scheme.sharded"
-    echo "   $scheme/sharded: byte-identical"
 done
 
 if [ "$BIG" != "--big" ]; then

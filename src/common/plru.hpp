@@ -1,7 +1,7 @@
 /**
  * @file
  * Tree pseudo-LRU replacement state for small set-associative software
- * caches (the warm stores and the encode memo). Three bits describe a
+ * caches (the encode memo). Three bits describe a
  * 4-way set: the root picks the stale pair, one bit per pair picks the
  * stale way inside it. touch() repoints every bit on the accessed
  * way's path away from it — the classic hardware PLRU update — so the

@@ -22,10 +22,23 @@
 
 #include <vector>
 
+#include "common/plru.hpp"
 #include "core/codec.hpp"
-#include "core/warm_codec.hpp"
 
 namespace cop {
+
+/** Multiply-xor mix of the eight block words. */
+inline u64
+blockContentHash(const CacheBlock &data)
+{
+    u64 h = 0x9e3779b97f4a7c15ULL;
+    for (unsigned w = 0; w < 8; ++w) {
+        h ^= data.word64(w);
+        h *= 0xff51afd7ed558ccdULL;
+        h ^= h >> 33;
+    }
+    return h;
+}
 
 /** Content-keyed 4-way set-associative cache of encode results. */
 class EncodeMemo
@@ -60,11 +73,11 @@ class EncodeMemo
     {
         ++lookups_;
         if (sets_.empty()) {
-            scratch_ = missEncode(codec, data);
+            scratch_ = codec.encode(data);
             schemeTrials_ += scratch_.schemeTrials;
             return scratch_;
         }
-        Set &set = sets_[contentHash(data) & mask_];
+        Set &set = sets_[blockContentHash(data) & mask_];
         unsigned way = kWays;
         for (unsigned w = 0; w < kWays; ++w) {
             Entry &e = set.ways[w];
@@ -83,20 +96,11 @@ class EncodeMemo
         Entry &e = set.ways[way];
         e.valid = true;
         e.key = data;
-        e.result = missEncode(codec, data);
+        e.result = codec.encode(data);
         schemeTrials_ += e.result.schemeTrials;
         set.plru.touch(way);
         return e.result;
     }
-
-    /**
-     * Attach a shard-worker warm store (sharded mode only; see
-     * core/warm_codec.hpp). On a memo miss the warm store substitutes
-     * the precomputed encode for the inline one — the lookup/hit/
-     * scheme-trial counters above are untouched, so every counter the
-     * results JSON and stats trace see stays byte-identical.
-     */
-    void attachWarmStore(const WarmEncodeStore *warm) { warm_ = warm; }
 
     /** Total entry capacity (0 = counting-only). */
     unsigned capacity() const
@@ -124,26 +128,7 @@ class EncodeMemo
         Plru4 plru;
     };
 
-    /** Multiply-xor mix of the eight block words. */
-    static u64
-    contentHash(const CacheBlock &data)
-    {
-        return blockContentHash(data);
-    }
-
-    /** The encode behind a memo miss: warm store first, then codec. */
-    CopEncodeResult
-    missEncode(const CopCodec &codec, const CacheBlock &data) const
-    {
-        if (warm_ != nullptr) {
-            if (const CopEncodeResult *enc = warm_->lookup(data))
-                return *enc;
-        }
-        return codec.encode(data);
-    }
-
     std::vector<Set> sets_;
-    const WarmEncodeStore *warm_ = nullptr;
     u64 mask_ = 0;
     u64 lookups_ = 0;
     u64 hits_ = 0;

@@ -46,7 +46,7 @@ DramSystem::setAmbientBusLoad(double load)
         load = 0.0;
     if (load > 0.9)
         load = 0.9; // bound 1/(1-load)
-    // Calibrated against the simThreads=1 oracle (see DESIGN.md §8.2).
+    // Calibrated against the serial oracle (see DESIGN.md §8).
     // The raw processor-sharing stretch load/(1-load) is amplified by
     // kAmbientGain: the mean-load view misses transient burst
     // collisions (several cores' epoch boundaries lining up), and the

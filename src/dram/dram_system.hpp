@@ -154,7 +154,7 @@ class DramSystem
      * arrival-to-data sojourn is stretched by a calibrated
      * processor-sharing factor derived from load / (1 - load) (gain
      * and saturation cap in the implementation, fitted against the
-     * simThreads=1 oracle — see DESIGN.md §8.2). This stands in for
+     * serial oracle — see DESIGN.md §8). This stands in for
      * the queueing the partitioned model no longer sees directly (bank
      * conflicts included, not just the bus). The stretch is counted in
      * DramStats::ambientStallCycles

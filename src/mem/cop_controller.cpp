@@ -52,8 +52,7 @@ CopController::readImpl(Addr addr, Cycle now)
     }
 
     const Cycle data_done = dramRead(addr, now);
-    const CopDecodeResult &dec =
-        warmOrDecode(warmDecode_, codec_, *image, decodeScratch_);
+    const CopDecodeResult dec = codec_.decode(*image);
     result.complete = data_done + decodeLatency_;
     result.dramAccesses = 1;
     result.data = dec.data;

@@ -62,12 +62,6 @@ class CopController : public MemoryController
 
     const CopCodec &codec() const { return codec_; }
 
-    void
-    attachWarmDecode(const WarmDecodeStore *warm) override
-    {
-        warmDecode_ = warm;
-    }
-
   protected:
     MemReadResult readImpl(Addr addr, Cycle now) override;
 
@@ -98,9 +92,6 @@ class CopController : public MemoryController
     CopCodec codec_;
     Cycle decodeLatency_;
     EncodeMemo *memo_;
-    const WarmDecodeStore *warmDecode_ = nullptr;
-    /** Inline-decode result holder for warmOrDecode. */
-    mutable CopDecodeResult decodeScratch_;
 };
 
 } // namespace cop

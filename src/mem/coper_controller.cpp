@@ -217,8 +217,7 @@ CopErController::readImpl(Addr addr, Cycle now)
     const Cycle data_done = dramRead(addr, now);
     result.dramAccesses = 1;
 
-    const CopDecodeResult &dec =
-        warmOrDecode(warmDecode_, codec_, stored, decodeScratch_);
+    const CopDecodeResult dec = codec_.decode(stored);
     if (dec.compressed) {
         result.complete = data_done + decodeLatency_;
         result.data = dec.data;

@@ -70,12 +70,6 @@ class CopErController : public MemoryController
     }
 
     const CopCodec &codec() const { return codec_; }
-
-    void
-    attachWarmDecode(const WarmDecodeStore *warm) override
-    {
-        warmDecode_ = warm;
-    }
     const EccRegion &region() const { return region_; }
     const CopErStats &erStats() const { return erStats_; }
 
@@ -175,9 +169,6 @@ class CopErController : public MemoryController
     }
 
     EncodeMemo *memo_;
-    const WarmDecodeStore *warmDecode_ = nullptr;
-    /** Inline-decode result holder for warmOrDecode. */
-    mutable CopDecodeResult decodeScratch_;
     CopCodec codec_;
     CoperCodec coper_;
     EccRegion region_;

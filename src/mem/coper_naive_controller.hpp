@@ -52,12 +52,6 @@ class CopErNaiveController : public MemoryController
 
     const CopCodec &codec() const { return codec_; }
 
-    void
-    attachWarmDecode(const WarmDecodeStore *warm) override
-    {
-        warmDecode_ = warm;
-    }
-
     /**
      * Compressible blocks store 512 bits in place; incompressible
      * blocks additionally expose their 11 wide-code check bits in the
@@ -93,9 +87,6 @@ class CopErNaiveController : public MemoryController
     }
 
     EncodeMemo *memo_;
-    const WarmDecodeStore *warmDecode_ = nullptr;
-    /** Inline-decode result holder for warmOrDecode. */
-    mutable CopDecodeResult decodeScratch_;
     CopCodec codec_;
     MetaCache meta_;
     Cycle decodeLatency_;

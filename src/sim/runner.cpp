@@ -55,6 +55,10 @@ parseRunnerOptions(int argc, char **argv)
             opts.fastTiming = true;
         }
     }
+    if (opts.simThreads != 1 && !opts.fastTiming)
+        COP_FATAL("--sim-threads / COP_SIM_THREADS needs --fast-timing: "
+                  "exact cells run serially (use --jobs for grid "
+                  "parallelism)");
     return opts;
 }
 

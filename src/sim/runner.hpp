@@ -32,17 +32,15 @@ struct RunnerOptions
     bool serial = false;
     /**
      * Per-cell SystemConfig::simThreads request (COP_SIM_THREADS /
-     * --sim-threads; 0 means hardware concurrency). Grid- and
-     * cell-level parallelism multiply, so consumers running cells
-     * under more than one grid worker must clamp this to 1 — the
-     * GridRunner does, loudly.
+     * --sim-threads; 0 means hardware concurrency): the fast-timing
+     * shard budget, so any value but 1 needs fastTiming.
      */
     unsigned simThreads = 1;
     /**
      * Per-cell SystemConfig::fastTiming request (COP_FAST_TIMING /
-     * --fast-timing). Like simThreads, it multiplies with grid-level
-     * parallelism, so consumers running cells under more than one grid
-     * worker must clamp it off — the GridRunner does, loudly.
+     * --fast-timing). Its shards multiply with grid-level parallelism,
+     * so consumers running cells under more than one grid worker must
+     * clamp it off — the GridRunner does, loudly.
      */
     bool fastTiming = false;
 
@@ -54,10 +52,11 @@ struct RunnerOptions
  * Runner options from the environment and command line: COP_BENCH_JOBS
  * (positive integer) sets the worker count; `--serial` forces
  * single-threaded in-order execution; `--jobs N` overrides the
- * environment; COP_SIM_THREADS / `--sim-threads N` set the per-cell
- * sharded-simulation thread budget (0 = hardware concurrency);
- * COP_FAST_TIMING / `--fast-timing` request the relaxed-consistency
- * fast-timing mode (SystemConfig::fastTiming) for every cell.
+ * environment; COP_FAST_TIMING / `--fast-timing` request the
+ * relaxed-consistency fast-timing mode (SystemConfig::fastTiming) for
+ * every cell, and COP_SIM_THREADS / `--sim-threads N` set its per-cell
+ * shard budget (0 = hardware concurrency). A thread budget other than
+ * 1 without fast timing is fatal.
  * Unrecognised arguments are ignored (benches keep their own flags,
  * e.g. fig11's `--config`).
  */

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <condition_variable>
 #include <fstream>
+#include <mutex>
 #include <thread>
 
 #include "mem/coper_controller.hpp"
@@ -10,6 +12,45 @@
 #include "mem/ecc_region_controller.hpp"
 
 namespace cop {
+
+namespace {
+
+/**
+ * Generation barrier for the fast-timing quantum loop: all shard
+ * threads arrive, the last arrival flips the generation and releases
+ * everyone. Reusable across quanta. Mutex + condvar — the barrier
+ * fires at quantum granularity (thousands of epochs), so contention is
+ * noise, and TSan sees plain happens-before edges.
+ */
+class QuantumBarrier
+{
+  public:
+    explicit QuantumBarrier(unsigned parties) : parties_(parties) {}
+
+    /** Arrive; block until all parties of this generation have. */
+    void
+    arriveAndWait()
+    {
+        std::unique_lock<std::mutex> lock(m_);
+        const u64 gen = generation_;
+        if (++waiting_ == parties_) {
+            waiting_ = 0;
+            ++generation_;
+            cv_.notify_all();
+            return;
+        }
+        cv_.wait(lock, [&] { return generation_ != gen; });
+    }
+
+  private:
+    std::mutex m_;
+    std::condition_variable cv_;
+    unsigned parties_;
+    unsigned waiting_ = 0;
+    u64 generation_ = 0;
+};
+
+} // namespace
 
 const char *
 controllerKindName(ControllerKind k)
@@ -65,8 +106,13 @@ makeController(ControllerKind kind, DramSystem &dram,
 unsigned
 System::fastShardCount(const SystemConfig &cfg)
 {
-    if (!cfg.fastTiming)
+    if (!cfg.fastTiming) {
+        if (cfg.simThreads != 1)
+            COP_FATAL("simThreads != 1 needs fastTiming: the exact run "
+                      "is serial (parallelise a grid with the runner's "
+                      "--jobs instead)");
         return 1;
+    }
     if (cfg.fault.enabled)
         COP_FATAL("fastTiming is incompatible with fault injection: the "
                   "error-recovery paths are defined against the exact "
@@ -514,9 +560,8 @@ System::runEpoch(Core &core, const Epoch &epoch)
     ++core.epochsDone;
 }
 
-template <typename EpochFor>
 void
-System::mergeLoop(EpochFor &&epochFor, std::ofstream &trace)
+System::runSerial(std::ofstream &trace)
 {
     u64 epochsDone = 0;
     u64 epochsSinceSnapshot = 0;
@@ -526,21 +571,17 @@ System::mergeLoop(EpochFor &&epochFor, std::ofstream &trace)
     // plausibly-ordered merge.
     while (true) {
         Core *next = nullptr;
-        unsigned nextIdx = 0;
-        for (unsigned c = 0; c < cores_.size(); ++c) {
-            Core &core = cores_[c];
+        for (Core &core : cores_) {
             if (core.epochsDone >= cfg_.epochsPerCore)
                 continue;
-            if (next == nullptr || core.clock < next->clock) {
+            if (next == nullptr || core.clock < next->clock)
                 next = &core;
-                nextIdx = c;
-            }
         }
         if (next == nullptr)
             break;
         if (injector_)
             injector_->advanceTo(next->clock);
-        runEpoch(*next, epochFor(*next, nextIdx));
+        runEpoch(*next, next->gen->next());
         ++epochsDone;
         if (trace.is_open() &&
             ++epochsSinceSnapshot >= cfg_.traceStatsEpochInterval) {
@@ -554,151 +595,6 @@ System::mergeLoop(EpochFor &&epochFor, std::ofstream &trace)
         // Final snapshot so the trace always sums to the run totals.
         trace << statsRegistry_.drainEpochJson(epochsDone, maxCoreClock())
               << "\n";
-    }
-}
-
-unsigned
-System::resolvedSimThreads() const
-{
-    if (cfg_.simThreads != 0)
-        return cfg_.simThreads;
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw == 0 ? 1 : hw;
-}
-
-void
-System::runSharded(std::ofstream &trace)
-{
-    const unsigned workers =
-        std::min<unsigned>(cfg_.cores, resolvedSimThreads() - 1);
-    COP_ASSERT(workers >= 1);
-
-    // Content (and with it codec) offload needs a per-core version
-    // timeline the worker can replay from its core's stream alone; a
-    // shared footprint with several writers interleaves versions in
-    // merge order, so only the epoch streams offload there.
-    const bool contentOffload =
-        !profile_.sharedFootprint || cfg_.cores == 1;
-
-    // The codec the scheme under test runs — workers precompute encode
-    // round trips with an identically-configured replica.
-    CopConfig codecCfg;
-    const CopConfig *codecCfgPtr = nullptr;
-    switch (cfg_.kind) {
-      case ControllerKind::Cop4:
-      case ControllerKind::CopEr:
-      case ControllerKind::CopErNaive:
-        codecCfg = CopConfig::fourByte();
-        codecCfgPtr = &codecCfg;
-        break;
-      case ControllerKind::Cop8:
-        codecCfg = CopConfig::eightByte();
-        codecCfgPtr = &codecCfg;
-        break;
-      default:
-        break;
-    }
-
-    if (contentOffload) {
-        warmContent_ = std::make_unique<WarmContentStore>(1u << 14);
-        for (Core &core : cores_)
-            core.gen->pool().attachWarmStore(warmContent_.get());
-        if (codecCfgPtr != nullptr) {
-            warmEncode_ = std::make_unique<WarmEncodeStore>(1u << 14);
-            warmDecode_ = std::make_unique<WarmDecodeStore>(1u << 14);
-            encodeMemo_->attachWarmStore(warmEncode_.get());
-            controller_->attachWarmDecode(warmDecode_.get());
-        }
-    }
-
-    std::vector<std::unique_ptr<ShardQueue>> queues;
-    queues.reserve(cfg_.cores);
-    for (unsigned c = 0; c < cfg_.cores; ++c)
-        queues.push_back(
-            std::make_unique<ShardQueue>(kShardWindowEpochs));
-
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-        ShardWorkerConfig wc;
-        wc.workerIndex = w;
-        wc.workerCount = workers;
-        wc.cores = cfg_.cores;
-        wc.epochsPerCore = cfg_.epochsPerCore;
-        wc.seedSalt = cfg_.seedSalt;
-        wc.contentOffload = contentOffload;
-        wc.codecConfig = codecCfgPtr;
-        wc.transferSizing = cfg_.bandwidthCompression;
-        wc.epochSource = cfg_.epochSource ? &cfg_.epochSource : nullptr;
-        pool.emplace_back(shardWorkerMain, std::cref(profile_), wc,
-                          std::cref(queues));
-    }
-
-    std::vector<ShardBundle> current(cfg_.cores);
-    try {
-        mergeLoop(
-            [&](Core &core, unsigned idx) -> const Epoch & {
-                ShardBundle &b = current[idx];
-                if (!queues[idx]->pop(b)) {
-                    const std::string msg = queues[idx]->abortMessage();
-                    for (auto &q : queues)
-                        q->abort(msg);
-                    for (std::thread &t : pool)
-                        t.join();
-                    COP_FATAL("shard worker failed for core " +
-                              std::to_string(idx) + ": " + msg);
-                }
-                ++shardTelemetry_.bundles;
-                for (const ShardContentEntry &e : b.content)
-                    warmContent_->install(e.addr, e.version, e.block);
-                for (const ShardCodecEntry &e : b.codec) {
-                    warmEncode_->install(e.content, e.enc);
-                    warmDecode_->install(e.enc.stored, e.dec);
-                }
-                shardTelemetry_.contentStaged += b.content.size();
-                shardTelemetry_.codecStaged += b.codec.size();
-                // Trace replay keeps the coordinator's own sources as
-                // the authority for the epoch stream (the worker's
-                // replica bundle carries an identical copy): the
-                // trace.* read counters then advance on this thread in
-                // serial merge order, so they — like every other
-                // counter — are byte-identical to simThreads=1.
-                if (cfg_.epochSource)
-                    return core.gen->next();
-                return b.epoch;
-            },
-            trace);
-    } catch (...) {
-        for (auto &q : queues)
-            q->abort("coordinator failed");
-        for (std::thread &t : pool)
-            t.join();
-        throw;
-    }
-    for (std::thread &t : pool)
-        t.join();
-
-    shardTelemetry_.workerThreads = workers;
-    if (warmContent_) {
-        shardTelemetry_.warmContentLookups = warmContent_->lookups();
-        shardTelemetry_.warmContentHits = warmContent_->hits();
-        shardTelemetry_.warmContentInstalls = warmContent_->installs();
-        shardTelemetry_.warmContentConflicts =
-            warmContent_->conflictEvictions();
-    }
-    if (warmEncode_) {
-        shardTelemetry_.warmEncodeLookups = warmEncode_->lookups();
-        shardTelemetry_.warmEncodeHits = warmEncode_->hits();
-        shardTelemetry_.warmEncodeInstalls = warmEncode_->installs();
-        shardTelemetry_.warmEncodeConflicts =
-            warmEncode_->conflictEvictions();
-    }
-    if (warmDecode_) {
-        shardTelemetry_.warmDecodeLookups = warmDecode_->lookups();
-        shardTelemetry_.warmDecodeHits = warmDecode_->hits();
-        shardTelemetry_.warmDecodeInstalls = warmDecode_->installs();
-        shardTelemetry_.warmDecodeConflicts =
-            warmDecode_->conflictEvictions();
     }
 }
 
@@ -950,14 +846,8 @@ System::run()
 
     if (cfg_.fastTiming) {
         runFastTiming(trace);
-    } else if (resolvedSimThreads() <= 1) {
-        mergeLoop(
-            [](Core &core, unsigned) -> const Epoch & {
-                return core.gen->next();
-            },
-            trace);
     } else {
-        runSharded(trace);
+        runSerial(trace);
     }
 
     SystemResults results = collectResults();

@@ -20,7 +20,6 @@
 #include "core/encode_memo.hpp"
 #include "mem/controller.hpp"
 #include "reliability/live_injector.hpp"
-#include "sim/shard.hpp"
 #include "stats/stats_registry.hpp"
 #include "workloads/trace_gen.hpp"
 
@@ -129,28 +128,20 @@ struct SystemConfig
      */
     bool adaptiveEccCapacity = false;
     /**
-     * Thread budget for this one System run (the intra-cell
-     * parallelism knob; grid-level parallelism stays with the runner's
-     * --jobs). 1 — the default — is the serial reference path. N > 1
-     * keeps the exact serial merge loop on the calling thread as the
-     * coordinator of all shared state (LLC, controller, DRAM timing,
-     * fault injection) and spawns min(cores, N-1) shard workers that
-     * precompute the pure per-core work — epoch streams, functional
-     * block content, codec encodes/decodes — delivered through
-     * bounded per-core queues and consumed at deterministic points, so
-     * results, stats traces and every counter are byte-identical to
-     * simThreads=1 for every scheme and mode (see sim/shard.hpp and
-     * DESIGN.md §8). 0 resolves to the hardware concurrency.
+     * Shard budget of the fast-timing mode (below): the run splits
+     * into min(simThreads, cores) concurrent shards; 0 resolves to the
+     * hardware concurrency. Without fastTiming the only valid value is
+     * 1 — the exact run is serial, and any other value is fatal. Exact
+     * parallelism lives at grid level (the runner's --jobs).
      */
     unsigned simThreads = 1;
     /**
-     * Relaxed-consistency fast-timing mode (opt-in, like --serial gates
-     * the grid runner). Off — the default — every simThreads value is
-     * byte-identical to the serial oracle. On, the run is partitioned
-     * into min(simThreads, cores) shards that each own a subset of the
-     * cores plus a private DRAM timing model, an LLC way-partition and
-     * a metadata-cache share, and run truly concurrently; shards
-     * synchronize only at a quantum barrier every
+     * Relaxed-consistency fast-timing mode (opt-in). Off — the
+     * default — the run is the exact serial oracle. On, it is
+     * partitioned into min(simThreads, cores) shards that each own a
+     * subset of the cores plus a private DRAM timing model, an LLC
+     * way-partition and a metadata-cache share, and run truly
+     * concurrently; shards synchronize only at a quantum barrier every
      * fastTimingQuantumEpochs epochs per core, where cross-shard
      * effects (bus contention, shared-footprint content versions) are
      * reconciled approximately. Results are deterministic (two fast
@@ -172,9 +163,8 @@ struct SystemConfig
     /**
      * Per-core epoch source factory. Empty (the default) runs the
      * synthetic TraceGenerator; set it to replay captured traces
-     * (makeTraceReplayFactory in trace/replay.hpp). The factory must
-     * mint independent equal streams on every call for the same core —
-     * shard workers build replicas with it. When set, the System also
+     * (makeTraceReplayFactory in trace/replay.hpp); the System calls
+     * it once per core at construction. When set, the System also
      * exports trace.* gauges (epochs/accesses read and replayed) into
      * the stats registry; the results JSON is untouched, so a replay
      * of a captured run stays byte-comparable to the run that captured
@@ -248,21 +238,11 @@ class System
     /** The observability registry every subsystem registered into. */
     StatsRegistry &statsRegistry() { return statsRegistry_; }
     /**
-     * Offload telemetry of the last run (all zero for simThreads<=1).
-     * Deterministic, but exposed only here — never through the results
-     * JSON or the StatsRegistry (byte-identity across thread counts).
-     */
-    const ShardTelemetry &shardTelemetry() const
-    {
-        return shardTelemetry_;
-    }
-
-    /**
      * Shards a fast-timing run of @p cfg will use: validates the
      * configuration (fatal on fault injection, <2 cores, or <2
      * resolved threads — fast timing with one shard would only add
-     * approximation without speedup) and returns min(threads, cores);
-     * 1 when fastTiming is off.
+     * approximation without speedup) and returns min(threads, cores).
+     * With fastTiming off it returns 1, and simThreads != 1 is fatal.
      */
     static unsigned fastShardCount(const SystemConfig &cfg);
 
@@ -291,17 +271,10 @@ class System
     BlockContentPool &poolFor(Addr addr);
     void runEpoch(Core &core, const Epoch &epoch);
     /**
-     * The furthest-behind merge loop, shared verbatim by the serial
-     * and sharded paths; @p epochFor (Core&, core index) supplies each
-     * epoch — the generator itself serially, the core's bundle queue
-     * when sharded.
+     * The exact run path: the furthest-behind merge loop over all
+     * cores on the calling thread.
      */
-    template <typename EpochFor>
-    void mergeLoop(EpochFor &&epochFor, std::ofstream &trace);
-    /** simThreads with 0 resolved to hardware concurrency. */
-    unsigned resolvedSimThreads() const;
-    /** The sharded run path: workers + warm stores + the merge loop. */
-    void runSharded(std::ofstream &trace);
+    void runSerial(std::ofstream &trace);
     /** LLC way-partition for one fast-timing shard (sets constant). */
     static CacheConfig fastLlcConfig(const CacheConfig &llc,
                                      unsigned shard_count);
@@ -362,11 +335,6 @@ class System
     bool probed_ = false;
     Addr probedAddr_ = 0;
     CacheBlock probedData_;
-    /** Sharded-mode staging (null for simThreads<=1). */
-    std::unique_ptr<WarmContentStore> warmContent_;
-    std::unique_ptr<WarmEncodeStore> warmEncode_;
-    std::unique_ptr<WarmDecodeStore> warmDecode_;
-    ShardTelemetry shardTelemetry_;
 
     // --- fast-timing shard state (inert when fastTiming is off) -------
     /** This System's shard index; the owner (public ctor) is shard 0. */

@@ -85,12 +85,6 @@ BlockContentPool::blockForRef(Addr block_addr) const
     }
 
     if (cacheSlots_ == 0) {
-        if (warm_ != nullptr) {
-            if (const CacheBlock *b = warm_->lookup(block_addr, version)) {
-                scratch_ = *b;
-                return scratch_;
-            }
-        }
         scratch_ = generateAt(block_addr, version);
         return scratch_;
     }
@@ -108,19 +102,7 @@ BlockContentPool::blockForRef(Addr block_addr) const
         ++contentCacheHits_;
         return slot.block;
     }
-    // Cache miss: a shard-worker warm block (identical by purity)
-    // replaces the regeneration when one is staged; either way the
-    // slot is filled as if regenerated, so the hit/miss stream — and
-    // every counter — is what the serial path produces.
-    if (warm_ != nullptr) {
-        if (const CacheBlock *b = warm_->lookup(block_addr, version)) {
-            slot.block = *b;
-        } else {
-            slot.block = generateAt(block_addr, version);
-        }
-    } else {
-        slot.block = generateAt(block_addr, version);
-    }
+    slot.block = generateAt(block_addr, version);
     slot.addr = block_addr;
     slot.version = version;
     slot.valid = true;

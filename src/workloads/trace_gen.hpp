@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/flat_map.hpp"
-#include "common/plru.hpp"
 #include "workloads/profile.hpp"
 
 namespace cop {
@@ -26,106 +25,6 @@ namespace cop {
  * footprint); SystemConfig::contentCacheEntries overrides.
  */
 inline constexpr unsigned kDefaultContentCacheEntries = 1u << 14;
-
-/**
- * Warm functional-memory content, precomputed by shard workers for the
- * thread-parallel simulation core (SystemConfig::simThreads > 1).
- * 4-way set-associative on the block index under a tree pseudo-LRU
- * (common/plru.hpp — direct mapping was conflict-prone on big
- * footprints), keyed on the full (addr, version) pair — content is a
- * pure function of (profile, addr, version), so a warm hit substitutes
- * an identical block for the RNG regeneration a pool miss would
- * otherwise run. A version bump reuses the address's way, so one block
- * never occupies two ways. Written only by the coordinator thread at
- * deterministic bundle-install points; the telemetry counters stay out
- * of the results JSON / StatsRegistry (see core/warm_codec.hpp for the
- * byte-identity argument).
- */
-class WarmContentStore
-{
-  public:
-    static constexpr unsigned kWays = 4;
-
-    /** @param entries total capacity; sets = entries / kWays (pow2). */
-    explicit WarmContentStore(unsigned entries)
-    {
-        unsigned sets = 1;
-        while (sets * kWays < entries)
-            sets <<= 1;
-        sets_.resize(sets);
-        mask_ = sets - 1;
-    }
-
-    const CacheBlock *
-    lookup(Addr addr, u32 version) const
-    {
-        ++lookups_;
-        const Set &set = sets_[(addr / kBlockBytes) & mask_];
-        for (unsigned w = 0; w < kWays; ++w) {
-            const Entry &e = set.ways[w];
-            if (e.valid && e.addr == addr && e.version == version) {
-                ++hits_;
-                set.plru.touch(w);
-                return &e.block;
-            }
-        }
-        return nullptr;
-    }
-
-    void
-    install(Addr addr, u32 version, const CacheBlock &block)
-    {
-        Set &set = sets_[(addr / kBlockBytes) & mask_];
-        unsigned way = kWays;
-        for (unsigned w = 0; w < kWays && way == kWays; ++w)
-            if (set.ways[w].valid && set.ways[w].addr == addr)
-                way = w; // new version of a resident block: same way
-        for (unsigned w = 0; w < kWays && way == kWays; ++w)
-            if (!set.ways[w].valid)
-                way = w;
-        if (way == kWays) {
-            way = set.plru.victim();
-            ++conflictEvictions_;
-        }
-        Entry &e = set.ways[way];
-        e.addr = addr;
-        e.version = version;
-        e.valid = true;
-        e.block = block;
-        set.plru.touch(way);
-        ++installs_;
-    }
-
-    u64 lookups() const { return lookups_; }
-    u64 hits() const { return hits_; }
-    u64 installs() const { return installs_; }
-    /** Installs that displaced a valid entry of a different address. */
-    u64 conflictEvictions() const { return conflictEvictions_; }
-
-  private:
-    struct Entry
-    {
-        Addr addr = 0;
-        u32 version = 0;
-        bool valid = false;
-        CacheBlock block;
-    };
-
-    struct Set
-    {
-        Entry ways[kWays];
-        /** Advanced on hits too, so mutable like the counters. */
-        mutable Plru4 plru;
-    };
-
-    std::vector<Set> sets_;
-    u64 mask_ = 0;
-    /** Telemetry only (lookup is logically const). */
-    mutable u64 lookups_ = 0;
-    mutable u64 hits_ = 0;
-    u64 installs_ = 0;
-    u64 conflictEvictions_ = 0;
-};
 
 /**
  * Deterministic functional memory: the content of every block is a pure
@@ -216,17 +115,9 @@ class BlockContentPool
     /**
      * Generate the content of @p block_addr at an explicit @p version,
      * bypassing the version map, the content cache and every counter.
-     * A pure function of immutable state (profile, seed, CDF) — safe
-     * to call concurrently from shard workers on a replica pool.
+     * A pure function of immutable state (profile, seed, CDF).
      */
     CacheBlock generateAt(Addr block_addr, u32 version) const;
-
-    /**
-     * Attach a shard-worker warm store (sharded mode only). A content-
-     * cache miss copies the warm block instead of regenerating it; the
-     * blockForCalls / contentCacheHits counters are untouched.
-     */
-    void attachWarmStore(const WarmContentStore *warm) { warm_ = warm; }
 
     const WorkloadProfile &profile() const { return profile_; }
 
@@ -283,7 +174,6 @@ class BlockContentPool
     mutable CacheBlock scratch_;
     mutable u64 blockForCalls_ = 0;
     mutable u64 contentCacheHits_ = 0;
-    const WarmContentStore *warm_ = nullptr;
     /** Fast-timing merge support (see enableBumpLog). */
     bool bumpLogEnabled_ = false;
     std::vector<Addr> bumpLog_;
@@ -356,10 +246,8 @@ class EpochSource
 };
 
 /**
- * Builds one EpochSource per core — SystemConfig::epochSource and the
- * shard workers (which need independent replicas of every core's
- * stream) both call it. @p content_cache_entries is 0 for replicas that
- * only need the pure generateAt path.
+ * Builds one EpochSource per core (SystemConfig::epochSource).
+ * @p content_cache_entries sizes the source's BlockContentPool cache.
  */
 using EpochSourceFactory = std::function<std::unique_ptr<EpochSource>(
     unsigned core, unsigned content_cache_entries)>;

@@ -13,6 +13,7 @@
 
 #include "common/rng.hpp"
 #include "ecc/secded.hpp"
+#include "test_print.hpp"
 
 namespace cop {
 namespace {

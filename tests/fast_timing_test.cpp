@@ -1,14 +1,13 @@
 /**
  * @file
  * Divergence contract of the relaxed-consistency fast-timing mode
- * (SystemConfig::fastTiming, DESIGN.md §8.2). Fast timing trades the
+ * (SystemConfig::fastTiming, DESIGN.md §8). Fast timing trades the
  * byte-identity contract for true shard parallelism: results may
  * diverge from the simThreads=1 oracle, but only within a pinned
  * epsilon, deterministically (two fast runs of the same configuration
  * are byte-identical to *each other*), and visibly (the ft_* results
- * fields report the approximation, never hide it). The exact modes —
- * serial and simThreads>1 with fastTiming off — must be entirely
- * unaffected.
+ * fields report the approximation, never hide it). Without fastTiming
+ * the run is serial, and any other thread budget is rejected.
  */
 
 #include <gtest/gtest.h>
@@ -43,7 +42,7 @@ constexpr ControllerKind kAllKinds[] = {
  * outlier: its ECC-region traffic concentrates all cores onto a few
  * DRAM banks, and the ambient-contention model spreads external load
  * uniformly, so the hotspot queueing is under-modelled (DESIGN.md
- * §8.2 lists this as a known limitation of the relaxed mode).
+ * §8 lists this as a known limitation of the relaxed mode).
  */
 double
 ipcEpsilon(ControllerKind kind)
@@ -168,23 +167,6 @@ TEST(FastTiming, SharedFootprintVersionsReconcile)
     EXPECT_EQ(fast.instructions, oracle.instructions);
 }
 
-TEST(FastTiming, ExactShardedModeIsUntouched)
-{
-    // simThreads>1 with fastTiming off keeps the byte-identity
-    // contract: no ft fields, no ambient model, same JSON as serial.
-    const auto &profile = WorkloadRegistry::byName("gcc");
-    SystemConfig cfg = smallConfig(ControllerKind::Cop4);
-    cfg.epochsPerCore = 600;
-    EXPECT_EQ(runJson(profile, cfg, 1, false),
-              runJson(profile, cfg, 3, false));
-    const SystemResults sharded = runOnce(profile, cfg, 3, false);
-    EXPECT_FALSE(sharded.fastTiming);
-    EXPECT_EQ(sharded.ftShards, 0u);
-    EXPECT_EQ(sharded.ftBarriers, 0u);
-    EXPECT_EQ(sharded.dram.ambientStallCycles, 0u);
-    EXPECT_EQ(sharded.dram.ambientRowCloses, 0u);
-}
-
 using FastTimingDeathTest = ::testing::Test;
 
 TEST(FastTimingDeathTest, RejectsFaultInjection)
@@ -215,6 +197,15 @@ TEST(FastTimingDeathTest, RejectsSingleThread)
     cfg.simThreads = 1;
     cfg.fastTiming = true;
     EXPECT_DEATH(System(profile, cfg), "simThreads >= 2");
+}
+
+TEST(FastTimingDeathTest, RejectsThreadsWithoutFastTiming)
+{
+    const auto &profile = WorkloadRegistry::byName("gcc");
+    SystemConfig cfg = smallConfig(ControllerKind::Cop4);
+    cfg.simThreads = 3;
+    cfg.fastTiming = false;
+    EXPECT_DEATH(System(profile, cfg), "simThreads != 1 needs fastTiming");
 }
 
 TEST(FastTimingDeathTest, RejectsZeroQuantum)

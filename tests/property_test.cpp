@@ -21,6 +21,7 @@
 #include "compress/combined.hpp"
 #include "compress/fpc.hpp"
 #include "core/codec.hpp"
+#include "test_print.hpp"
 #include "workloads/block_gen.hpp"
 
 namespace cop {
@@ -162,20 +163,6 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<CopConfig> &info) {
         return std::to_string(info.param.checkBytes) + "byte";
     });
-
-} // namespace
-
-// Print a code parameter by its shape, not its address: googletest puts
-// the printed parameter into each listed test name, and an address would
-// change those names every time the binary is relinked or loaded.
-static void
-PrintTo(const HsiaoCode *code, std::ostream *os)
-{
-    *os << "HsiaoCode(" << code->codeBits() << "," << code->dataBits()
-        << ")";
-}
-
-namespace {
 
 class SyndromeProperty
     : public ::testing::TestWithParam<const HsiaoCode *>

@@ -244,6 +244,19 @@ TEST(Runner, BadJobCountsAreFatal)
     ASSERT_EQ(unsetenv("COP_BENCH_JOBS"), 0);
 }
 
+TEST(Runner, SimThreadsWithoutFastTimingAreFatal)
+{
+    ASSERT_EQ(unsetenv("COP_FAST_TIMING"), 0);
+    const char *argv[] = {"bench", "--sim-threads", "4"};
+    EXPECT_DEATH(parseRunnerOptions(3, const_cast<char **>(argv)),
+                 "needs --fast-timing");
+    const char *fast[] = {"bench", "--sim-threads", "4", "--fast-timing"};
+    const RunnerOptions opts =
+        parseRunnerOptions(4, const_cast<char **>(fast));
+    EXPECT_EQ(opts.simThreads, 4u);
+    EXPECT_TRUE(opts.fastTiming);
+}
+
 TEST(Parse, AcceptsPlainDecimals)
 {
     EXPECT_EQ(parseU64("0", "x"), 0u);

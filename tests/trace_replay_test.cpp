@@ -3,8 +3,8 @@
  * The replay determinism contract (DESIGN.md §9): feeding a captured
  * trace back through TraceReplayGenerator under the profile that
  * captured it produces results JSON byte-identical to the synthetic
- * run that the capture recorded — for every controller kind, serial
- * and sharded, and for every trace encoding. Also covers the replay
+ * run that the capture recorded — for every controller kind and
+ * every trace encoding. Also covers the replay
  * conservation counters and the exhaustion guard.
  */
 
@@ -107,23 +107,6 @@ TEST(TraceReplay, MatchesSyntheticRunForEveryScheme)
         EXPECT_EQ(runJson(profile, cfg), runJson(profile, replay))
             << controllerKindName(kind)
             << ": replay diverged from the synthetic run";
-    }
-}
-
-TEST(TraceReplay, ShardedReplayMatchesSerialReplay)
-{
-    const auto &profile = WorkloadRegistry::byName("mcf");
-    const auto paths = captureCores(profile, "replay_sharded");
-    for (const ControllerKind kind :
-         {ControllerKind::Cop4, ControllerKind::CopEr}) {
-        SystemConfig serial = smallConfig(kind);
-        serial.epochSource = makeTraceReplayFactory(profile, paths);
-        SystemConfig sharded = serial;
-        serial.simThreads = 1;
-        sharded.simThreads = 3;
-        EXPECT_EQ(runJson(profile, serial), runJson(profile, sharded))
-            << controllerKindName(kind)
-            << ": sharded replay diverged from serial replay";
     }
 }
 
