@@ -27,7 +27,6 @@
 #include "compress/combined.hpp"
 #include "compress/fpc.hpp"
 #include "core/codec.hpp"
-#include "core/encode_memo.hpp"
 #include "run_util.hpp"
 #include "workloads/block_gen.hpp"
 
@@ -126,20 +125,6 @@ run(bool quick)
             acc += static_cast<unsigned>(codec8.encode(b).status);
         return acc;
     });
-
-    // Steady-state memoized encode: the warm-up pass fills the memo,
-    // so timed passes are ~pure hits — the rewrite-of-unchanged-content
-    // case the System-level memo exists for.
-    EncodeMemo memo(1u << 13);
-    measure("encode_cop4_memo", n, target_ms, [&] {
-        unsigned acc = 0;
-        for (const auto &b : mix)
-            acc += static_cast<unsigned>(memo.encode(codec4, b).status);
-        return acc;
-    });
-    g_numbers.add("memo_hit_rate",
-                  static_cast<double>(memo.hits()) /
-                      static_cast<double>(memo.lookups()));
 
     measure("decode_cop4", n, target_ms, [&] {
         unsigned acc = 0;

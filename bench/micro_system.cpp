@@ -73,8 +73,6 @@ struct Series
     double timedMs = 0;
     u64 passes = 0;
     u64 misses = 0;
-    u64 poolCalls = 0;
-    u64 poolHits = 0;
     double ipc = 0; ///< Last pass (deterministic, so any pass).
 };
 
@@ -89,8 +87,6 @@ onePass(const WorkloadProfile &profile, const SystemConfig &cfg,
     series.timedMs += nowMs() - t0;
     ++series.passes;
     series.misses += r.llcMisses;
-    series.poolCalls += r.poolBlockForCalls;
-    series.poolHits += r.poolContentCacheHits;
     series.ipc = r.ipc;
 }
 
@@ -122,7 +118,6 @@ run(bool quick, const std::string &profile_name, unsigned threads)
     bench::JsonObjectBuilder fast_wall_speedup;
     bench::JsonObjectBuilder ft_divergence;
     bench::JsonObjectBuilder misses_per_sec;
-    bench::JsonObjectBuilder blockfor_hit_rate;
     double fast_cop4 = 0;
     double fast_coper = 0;
     double ft_div_max = 0;
@@ -131,8 +126,8 @@ run(bool quick, const std::string &profile_name, unsigned threads)
         std::printf("%-12s %12s %12s %7s %8s\n", "scheme", "epochs/s(1)",
                     "fast e/s(N)", "fast x", "ft div%");
     else
-        std::printf("%-12s %14s %14s %12s\n", "scheme", "epochs/s",
-                    "misses/s", "pool hit%");
+        std::printf("%-12s %14s %14s\n", "scheme", "epochs/s",
+                    "misses/s");
 
     for (const KindRow &row : kKinds) {
         SystemConfig cfg = bench::paperConfig(row.kind);
@@ -182,16 +177,9 @@ run(bool quick, const std::string &profile_name, unsigned threads)
         } else {
             const double mps = static_cast<double>(serial.misses) /
                                (serial.timedMs / 1000.0);
-            const double hit_rate =
-                serial.poolCalls
-                    ? static_cast<double>(serial.poolHits) /
-                          static_cast<double>(serial.poolCalls)
-                    : 0.0;
-            std::printf("%-12s %14.0f %14.0f %11.1f%%\n", row.key, eps,
-                        mps, hit_rate * 100.0);
+            std::printf("%-12s %14.0f %14.0f\n", row.key, eps, mps);
             eps_serial.add(row.key, eps);
             misses_per_sec.add(row.key, mps);
-            blockfor_hit_rate.add(row.key, hit_rate);
         }
     }
 
@@ -230,7 +218,6 @@ run(bool quick, const std::string &profile_name, unsigned threads)
     top.add("epochs_per_core", epochs_per_core);
     top.addRaw("epochs_per_sec", eps_serial.str());
     top.addRaw("misses_per_sec", misses_per_sec.str());
-    top.addRaw("blockfor_hit_rate", blockfor_hit_rate.str());
     bench::writeResultsFile("micro_system.json", top.str());
     return 0;
 }

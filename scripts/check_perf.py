@@ -23,11 +23,11 @@ notice (so partial local runs still work).
 The threshold is deliberately loose (30%): --quick runs on shared CI
 runners are noisy, and the gates exist to catch order-of-magnitude
 regressions (a kernel silently falling back to the bit-serial path, a
-content-cache or flat-map path reverting to regeneration), not
-single-digit drift. For a change that legitimately trades throughput
-away, apply the `perf-override` label to the PR — the CI job skips
-itself when the label is present — and refresh the baseline file per
-EXPERIMENTS.md.
+flat-map probe degrading to a scan, extra content regenerations per
+miss), not single-digit drift. For a change that legitimately trades
+throughput away, apply the `perf-override` label to the PR — the CI job
+skips itself when the label is present — and refresh the baseline file
+per EXPERIMENTS.md.
 
 The fast-timing gates (SystemConfig::fastTiming, DESIGN.md §8) read
 `micro_system --quick --threads 4`: the IPC divergence of the relaxed
@@ -67,8 +67,8 @@ import sys
 
 CODEC_KEYS = ["encode_cop4", "encode_cop8"]
 # End-to-end epochs/sec per controller scheme. The COP-family schemes
-# are the ones the content-cache / flat-hash / dedup work targets (and
-# the ones a regression would silently slow down); the unprotected
+# run the codec on every writeback and first touch (so a codec or
+# flat-hash regression would silently slow them down); the unprotected
 # baseline rides along as a sanity floor for the System loop itself.
 SYSTEM_KEYS = ["unprot", "cop4", "cop8", "coper", "coper_naive"]
 

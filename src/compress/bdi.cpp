@@ -50,6 +50,16 @@ signExtend(u64 v, unsigned bytes)
     return static_cast<i64>(v << shift) >> shift;
 }
 
+/**
+ * @p v minus @p base, wrapping mod 2^64 as the hardware subtractor
+ * does (a signed subtraction overflows on 8-byte elements).
+ */
+i64
+wrapDelta(i64 v, u64 base)
+{
+    return static_cast<i64>(static_cast<u64>(v) - base);
+}
+
 } // namespace
 
 bool
@@ -104,8 +114,7 @@ BdiCompressor::fitsBaseDelta(const CacheBlock &block, const Geometry &g,
         if (!have_base) {
             base = static_cast<u64>(v);
             have_base = true;
-        } else if (!deltaFits(v - static_cast<i64>(base),
-                              g.delta_bytes)) {
+        } else if (!deltaFits(wrapDelta(v, base), g.delta_bytes)) {
             return false;
         }
     }
@@ -223,7 +232,7 @@ BdiCompressor::compress(const CacheBlock &block, unsigned budget_bits,
         const i64 v = signExtend(element(block, g.base_bytes, i),
                                  g.base_bytes);
         const bool zero_base = deltaFits(v, g.delta_bytes);
-        const i64 delta = zero_base ? v : v - static_cast<i64>(base);
+        const i64 delta = zero_base ? v : wrapDelta(v, base);
         out.write(zero_base ? 0 : 1, 1);
         out.write(static_cast<u64>(delta) &
                       ((g.delta_bytes == 8) ? ~0ULL
@@ -256,13 +265,14 @@ BdiCompressor::decompress(BitReader &in, unsigned budget_bits,
     Geometry g;
     COP_ASSERT(geometryOf(e, g));
     const unsigned elems = kBlockBytes / g.base_bytes;
-    const i64 base = signExtend(in.read(8 * g.base_bytes), g.base_bytes);
+    // Unsigned (wrapping) arithmetic: base + delta is the modular sum.
+    const u64 base = static_cast<u64>(
+        signExtend(in.read(8 * g.base_bytes), g.base_bytes));
     for (unsigned i = 0; i < elems; ++i) {
         const bool use_base = in.read(1) != 0;
-        const i64 delta = signExtend(in.read(8 * g.delta_bytes),
-                                     g.delta_bytes);
-        const i64 v = use_base ? base + delta : delta;
-        setElement(out, g.base_bytes, i, static_cast<u64>(v));
+        const u64 delta = static_cast<u64>(
+            signExtend(in.read(8 * g.delta_bytes), g.delta_bytes));
+        setElement(out, g.base_bytes, i, use_base ? base + delta : delta);
     }
 }
 

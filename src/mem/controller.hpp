@@ -100,11 +100,12 @@ struct MemStats
     u64 metaCacheHits = 0;
     u64 metaCacheMisses = 0;
     std::array<u64, 3> schemeWrites{}; ///< Per SchemeId (MSB/RLE/TXT).
-    // Codec perf counters (filled from the System's EncodeMemo; zero
-    // for controllers that never run the COP encoder).
-    u64 encodeCalls = 0;    ///< CopCodec::encode requests (memoized or not).
-    u64 encodeMemoHits = 0; ///< Requests served from the encode memo.
-    u64 schemeTrials = 0;   ///< Scheme admission checks across encodes.
+    // Codec perf counters (filled from the System's EncodeCounter;
+    // zero for controllers that never run the COP encoder).
+    u64 encodeCalls = 0;  ///< CopCodec::encode calls.
+    u64 schemeTrials = 0; ///< Scheme admission checks across encodes.
+    /** Compatibility name (copbench assigns it); always 0, not reported. */
+    u64 encodeMemoHits = 0;
 };
 
 /**

@@ -4,9 +4,9 @@ namespace cop {
 
 CopController::CopController(DramSystem &dram, ContentSource content,
                              const CopConfig &cfg, Cycle decode_latency,
-                             EncodeMemo *memo)
+                             EncodeCounter *encodes)
     : MemoryController(dram, std::move(content)), codec_(cfg),
-      decodeLatency_(decode_latency), memo_(memo)
+      decodeLatency_(decode_latency), encodes_(encodes)
 {
 }
 
@@ -97,14 +97,6 @@ CopController::writeback(Addr addr, const CacheBlock &data, Cycle now,
 bool
 CopController::wouldAliasReject(const CacheBlock &data) const
 {
-    // With a caching memo attached, a full (memoized) encode is the
-    // cheaper test: the eviction that follows a "no" answer re-encodes
-    // the same content and hits. AliasRejected is exactly
-    // "incompressible and an alias", so the answers agree.
-    if (memo_ != nullptr && memo_->capacity() > 0) {
-        return memo_->encode(codec_, data).status ==
-               EncodeStatus::AliasRejected;
-    }
     return !codec_.compressor().compressible(data) && codec_.isAlias(data);
 }
 

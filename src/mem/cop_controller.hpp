@@ -11,7 +11,7 @@
 #define COP_MEM_COP_CONTROLLER_HPP
 
 #include "core/codec.hpp"
-#include "core/encode_memo.hpp"
+#include "core/encode_counter.hpp"
 #include "mem/controller.hpp"
 
 namespace cop {
@@ -37,12 +37,12 @@ class CopController : public MemoryController
 {
   public:
     /**
-     * @param memo optional encode memo / perf-counter sink, owned by the
-     *        caller (the System). May be null (plain uncounted encodes).
+     * @param encodes optional encode counter, owned by the caller (the
+     *        System). May be null (plain uncounted encodes).
      */
     CopController(DramSystem &dram, ContentSource content,
                   const CopConfig &cfg = CopConfig::fourByte(),
-                  Cycle decode_latency = 4, EncodeMemo *memo = nullptr);
+                  Cycle decode_latency = 4, EncodeCounter *encodes = nullptr);
 
     const char *name() const override
     {
@@ -80,18 +80,18 @@ class CopController : public MemoryController
                                                : VulnClass::CopProtected8;
     }
 
-    /** codec_.encode through the memo (when attached). */
+    /** codec_.encode, counted when a counter is attached. */
     CopEncodeResult
     encodeBlock(const CacheBlock &data) const
     {
-        if (memo_ != nullptr)
-            return memo_->encode(codec_, data);
+        if (encodes_ != nullptr)
+            return encodes_->encode(codec_, data);
         return codec_.encode(data);
     }
 
     CopCodec codec_;
     Cycle decodeLatency_;
-    EncodeMemo *memo_;
+    EncodeCounter *encodes_;
 };
 
 } // namespace cop

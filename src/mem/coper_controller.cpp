@@ -4,8 +4,8 @@ namespace cop {
 
 CopErController::CopErController(DramSystem &dram, ContentSource content,
                                  Cycle decode_latency,
-                                 u64 meta_cache_bytes, EncodeMemo *memo)
-    : MemoryController(dram, std::move(content)), memo_(memo),
+                                 u64 meta_cache_bytes, EncodeCounter *encodes)
+    : MemoryController(dram, std::move(content)), encodes_(encodes),
       codec_(CopConfig::fourByte()), coper_(codec_),
       meta_(meta_cache_bytes), decodeLatency_(decode_latency)
 {

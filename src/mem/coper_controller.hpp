@@ -38,7 +38,7 @@ class CopErController : public MemoryController
     CopErController(DramSystem &dram, ContentSource content,
                     Cycle decode_latency = 4,
                     u64 meta_cache_bytes = 256 << 10,
-                    EncodeMemo *memo = nullptr);
+                    EncodeCounter *encodes = nullptr);
 
     const char *name() const override { return "COP-ER"; }
     MemWriteResult writeback(Addr addr, const CacheBlock &data, Cycle now,
@@ -159,16 +159,16 @@ class CopErController : public MemoryController
     /** Adaptive mode: demote @p index's entry block if released. */
     void maybeReclaimEntryBlock(u32 index, Cycle now);
 
-    /** codec_.encode through the memo (when attached). */
+    /** codec_.encode, counted when a counter is attached. */
     CopEncodeResult
     encodeBlock(const CacheBlock &data) const
     {
-        if (memo_ != nullptr)
-            return memo_->encode(codec_, data);
+        if (encodes_ != nullptr)
+            return encodes_->encode(codec_, data);
         return codec_.encode(data);
     }
 
-    EncodeMemo *memo_;
+    EncodeCounter *encodes_;
     CopCodec codec_;
     CoperCodec coper_;
     EccRegion region_;

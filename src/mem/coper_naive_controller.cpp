@@ -11,8 +11,8 @@ CopErNaiveController::CopErNaiveController(DramSystem &dram,
                                            ContentSource content,
                                            Cycle decode_latency,
                                            u64 meta_cache_bytes,
-                                           EncodeMemo *memo)
-    : MemoryController(dram, std::move(content)), memo_(memo),
+                                           EncodeCounter *encodes)
+    : MemoryController(dram, std::move(content)), encodes_(encodes),
       codec_(CopConfig::fourByte()), meta_(meta_cache_bytes),
       decodeLatency_(decode_latency)
 {
@@ -192,12 +192,6 @@ CopErNaiveController::writeback(Addr addr, const CacheBlock &data,
 bool
 CopErNaiveController::wouldAliasReject(const CacheBlock &data) const
 {
-    // Same routing as CopController: a caching memo makes the full
-    // encode the cheaper test (the eviction re-encode hits).
-    if (memo_ != nullptr && memo_->capacity() > 0) {
-        return memo_->encode(codec_, data).status ==
-               EncodeStatus::AliasRejected;
-    }
     return !codec_.compressor().compressible(data) && codec_.isAlias(data);
 }
 

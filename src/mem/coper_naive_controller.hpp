@@ -23,7 +23,7 @@
 #define COP_MEM_COPER_NAIVE_CONTROLLER_HPP
 
 #include "core/codec.hpp"
-#include "core/encode_memo.hpp"
+#include "core/encode_counter.hpp"
 #include "mem/ecc_region_controller.hpp"
 #include "mem/meta_cache.hpp"
 
@@ -36,7 +36,7 @@ class CopErNaiveController : public MemoryController
     CopErNaiveController(DramSystem &dram, ContentSource content,
                          Cycle decode_latency = 4,
                          u64 meta_cache_bytes = 2ULL << 20,
-                         EncodeMemo *memo = nullptr);
+                         EncodeCounter *encodes = nullptr);
 
     const char *name() const override { return "COP-ER (naive)"; }
     MemWriteResult writeback(Addr addr, const CacheBlock &data, Cycle now,
@@ -77,16 +77,16 @@ class CopErNaiveController : public MemoryController
     /** Lazily materialised wide-code check bits (raw blocks only). */
     u16 &wideCheckOf(Addr addr);
 
-    /** codec_.encode through the memo (when attached). */
+    /** codec_.encode, counted when a counter is attached. */
     CopEncodeResult
     encodeBlock(const CacheBlock &data) const
     {
-        if (memo_ != nullptr)
-            return memo_->encode(codec_, data);
+        if (encodes_ != nullptr)
+            return encodes_->encode(codec_, data);
         return codec_.encode(data);
     }
 
-    EncodeMemo *memo_;
+    EncodeCounter *encodes_;
     CopCodec codec_;
     MetaCache meta_;
     Cycle decodeLatency_;

@@ -208,7 +208,6 @@ appendResultsJson(std::string &out, const SystemResults &r)
     field(out, "scheme_writes_rle", r.mem.schemeWrites[1]);
     field(out, "scheme_writes_txt", r.mem.schemeWrites[2]);
     field(out, "codec_encode_calls", r.mem.encodeCalls);
-    field(out, "codec_memo_hits", r.mem.encodeMemoHits);
     field(out, "codec_scheme_trials", r.mem.schemeTrials);
     field(out, "ever_uncompressed_blocks", r.everUncompressedBlocks);
     field(out, "touched_blocks", r.touchedBlocks);
@@ -247,11 +246,9 @@ appendResultsJson(std::string &out, const SystemResults &r)
     field(out, "dram_write_lat_p95", write_lat.p95);
     field(out, "dram_write_lat_p99", write_lat.p99);
     field(out, "dram_write_lat_max", write_lat.max);
-    // Functional-memory perf counters (content-cache PR) — again
-    // appended strictly after everything that existed before them.
+    // Functional-memory perf counter — again appended strictly after
+    // everything that existed before it.
     field(out, "pool_block_for_calls", r.poolBlockForCalls);
-    field(out, "pool_content_cache_hits", r.poolContentCacheHits);
-    field(out, "pool_content_cache_misses", r.poolContentCacheMisses);
     // Bandwidth-compression / bus-timing additions — appended strictly
     // after everything that existed before them (same convention).
     field(out, "dram_total_write_latency", r.dram.totalWriteLatency);

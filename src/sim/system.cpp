@@ -71,7 +71,7 @@ std::unique_ptr<MemoryController>
 makeController(ControllerKind kind, DramSystem &dram,
                MemoryController::ContentSource content,
                Cycle decode_latency, u64 meta_cache_bytes,
-               EncodeMemo *memo)
+               EncodeCounter *encodes)
 {
     switch (kind) {
       case ControllerKind::Unprotected:
@@ -86,19 +86,19 @@ makeController(ControllerKind kind, DramSystem &dram,
       case ControllerKind::Cop4:
         return std::make_unique<CopController>(
             dram, std::move(content), CopConfig::fourByte(),
-            decode_latency, memo);
+            decode_latency, encodes);
       case ControllerKind::Cop8:
         return std::make_unique<CopController>(
             dram, std::move(content), CopConfig::eightByte(),
-            decode_latency, memo);
+            decode_latency, encodes);
       case ControllerKind::CopEr:
         return std::make_unique<CopErController>(
             dram, std::move(content), decode_latency, meta_cache_bytes,
-            memo);
+            encodes);
       case ControllerKind::CopErNaive:
         return std::make_unique<CopErNaiveController>(
             dram, std::move(content), decode_latency, meta_cache_bytes,
-            memo);
+            encodes);
     }
     COP_PANIC("bad controller kind");
 }
@@ -172,22 +172,20 @@ System::System(const WorkloadProfile &profile, const SystemConfig &cfg,
     cores_.resize(cfg_.cores);
     for (unsigned c = 0; c < cfg_.cores; ++c) {
         if (cfg_.epochSource) {
-            cores_[c].gen =
-                cfg_.epochSource(c, cfg_.contentCacheEntries);
+            cores_[c].gen = cfg_.epochSource(c);
             COP_ASSERT(cores_[c].gen != nullptr);
         } else {
-            cores_[c].gen = std::make_unique<TraceGenerator>(
-                profile, c, cfg_.seedSalt, cfg_.contentCacheEntries);
+            cores_[c].gen =
+                std::make_unique<TraceGenerator>(profile, c, cfg_.seedSalt);
         }
         cores_[c].pool = &cores_[c].gen->pool();
     }
-    encodeMemo_ = std::make_unique<EncodeMemo>(cfg_.encodeMemoEntries);
     controller_ = makeController(
         cfg_.kind, dram_,
         [this](Addr addr) -> const CacheBlock & {
             return poolFor(addr).blockForRef(addr);
         },
-        cfg_.decodeLatency, cfg_.metaCacheBytes, encodeMemo_.get());
+        cfg_.decodeLatency, cfg_.metaCacheBytes, &encodes_);
     if (cfg_.bandwidthCompression) {
         if (cfg_.bandwidthBeatFloor < 1 || cfg_.bandwidthBeatFloor > 8)
             COP_FATAL("bandwidthBeatFloor must be in [1, 8]");
@@ -259,11 +257,9 @@ System::registerAllStats()
     dram_.registerStats(statsRegistry_);
     controller_->registerStats(statsRegistry_);
     statsRegistry_.gauge("codec.encode_calls",
-                         [this] { return encodeMemo_->lookups(); });
-    statsRegistry_.gauge("codec.memo_hits",
-                         [this] { return encodeMemo_->hits(); });
+                         [this] { return encodes_.calls(); });
     statsRegistry_.gauge("codec.scheme_trials",
-                         [this] { return encodeMemo_->schemeTrials(); });
+                         [this] { return encodes_.schemeTrials(); });
     statsRegistry_.gauge("llc.hits",
                          [this] { return llc_.stats().hits; });
     statsRegistry_.gauge("llc.misses",
@@ -282,25 +278,13 @@ System::registerAllStats()
             total += core.epochsDone;
         return total;
     });
-    // Functional-memory content cache + flat-map load factors. Summed
-    // over every core pool (idle pools contribute zero in
-    // shared-footprint mode).
+    // Functional-memory calls + flat-map load factors. Summed over
+    // every core pool (idle pools contribute zero in shared-footprint
+    // mode).
     statsRegistry_.gauge("pool.block_for_calls", [this] {
         u64 total = 0;
         for (const Core &core : cores_)
             total += core.gen->pool().blockForCalls();
-        return total;
-    });
-    statsRegistry_.gauge("pool.content_cache_hits", [this] {
-        u64 total = 0;
-        for (const Core &core : cores_)
-            total += core.gen->pool().contentCacheHits();
-        return total;
-    });
-    statsRegistry_.gauge("pool.content_cache_misses", [this] {
-        u64 total = 0;
-        for (const Core &core : cores_)
-            total += core.gen->pool().contentCacheMisses();
         return total;
     });
     statsRegistry_.gauge("pool.version_map_entries", [this] {
@@ -887,9 +871,8 @@ System::collectResults()
     results.aliasPinEvents = llc_.stats().aliasPinned;
     results.dram = dram_.stats();
     results.mem = controller_->stats();
-    results.mem.encodeCalls = encodeMemo_->lookups();
-    results.mem.encodeMemoHits = encodeMemo_->hits();
-    results.mem.schemeTrials = encodeMemo_->schemeTrials();
+    results.mem.encodeCalls = encodes_.calls();
+    results.mem.schemeTrials = encodes_.schemeTrials();
     results.vuln = controller_->vulnLog();
     results.errors = controller_->errorLog();
     results.adaptive = controller_->adaptiveStats();
@@ -897,13 +880,8 @@ System::collectResults()
 
     // Footprint actually touched: distinct blocks with a DRAM image.
     results.touchedBlocks = controller_->imageBlockCount();
-    for (const auto &core : cores_) {
+    for (const auto &core : cores_)
         results.poolBlockForCalls += core.gen->pool().blockForCalls();
-        results.poolContentCacheHits +=
-            core.gen->pool().contentCacheHits();
-        results.poolContentCacheMisses +=
-            core.gen->pool().contentCacheMisses();
-    }
     results.eccRegionBytes = 0;
     if (auto *coper = dynamic_cast<CopErController *>(controller_.get())) {
         results.eccRegionBytes = coper->storageBytesHighWater();
@@ -967,7 +945,6 @@ System::mergeResultsInto(SystemResults &into, const SystemResults &peer)
     for (size_t i = 0; i < into.mem.schemeWrites.size(); ++i)
         into.mem.schemeWrites[i] += peer.mem.schemeWrites[i];
     into.mem.encodeCalls += peer.mem.encodeCalls;
-    into.mem.encodeMemoHits += peer.mem.encodeMemoHits;
     into.mem.schemeTrials += peer.mem.schemeTrials;
 
     for (size_t i = 0; i < into.vuln.byClass.size(); ++i) {
@@ -988,8 +965,6 @@ System::mergeResultsInto(SystemResults &into, const SystemResults &peer)
     into.eccRegionBytes += peer.eccRegionBytes;
     into.eccRegionBytesNoDealloc += peer.eccRegionBytesNoDealloc;
     into.poolBlockForCalls += peer.poolBlockForCalls;
-    into.poolContentCacheHits += peer.poolContentCacheHits;
-    into.poolContentCacheMisses += peer.poolContentCacheMisses;
 
     into.ipc = into.cycles
                    ? static_cast<double>(into.instructions) /

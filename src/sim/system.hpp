@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "cache/set_assoc_cache.hpp"
-#include "core/encode_memo.hpp"
+#include "core/encode_counter.hpp"
 #include "mem/controller.hpp"
 #include "reliability/live_injector.hpp"
 #include "stats/stats_registry.hpp"
@@ -68,21 +68,6 @@ struct SystemConfig
      * instead of discovering the alias at eviction.
      */
     bool proactiveAliasCheck = false;
-    /**
-     * Encode-memo slots for the COP-family controllers (content-keyed
-     * cache of CopCodec::encode results). 0 disables caching but keeps
-     * the perf counters; the memo cannot change simulated behaviour
-     * (see core/encode_memo.hpp).
-     */
-    unsigned encodeMemoEntries = 1u << 13;
-    /**
-     * blockFor content-cache slots per BlockContentPool (direct-mapped
-     * memo of functional-memory content, keyed on (addr, version)).
-     * 0 disables caching but keeps the perf counters; the cache cannot
-     * change simulated behaviour — content is a pure function of the
-     * key (see workloads/trace_gen.hpp and DESIGN.md).
-     */
-    unsigned contentCacheEntries = kDefaultContentCacheEntries;
     u64 seedSalt = 0;
     /** Live fault injection + error recovery (off by default). */
     FaultConfig fault;
@@ -171,6 +156,12 @@ struct SystemConfig
      * it (DESIGN.md §9).
      */
     EpochSourceFactory epochSource;
+
+    // --- compatibility names (copbench) ------------------------------
+    // The encode memo and the functional-memory content cache are gone;
+    // copbench still reads their sizes. Read-only, always 0.
+    static constexpr unsigned encodeMemoEntries = 0;
+    static constexpr unsigned contentCacheEntries = 0;
 };
 
 /** Aggregate results of one run. */
@@ -201,8 +192,9 @@ struct SystemResults
     ErrorLog errors;
     /** Adaptive-capacity accounting (all zero unless the mode is on). */
     MemoryController::AdaptiveStats adaptive;
-    /** Functional-memory perf counters (summed over the core pools). */
+    /** Functional-memory perf counter (summed over the core pools). */
     u64 poolBlockForCalls = 0;
+    /** Compatibility names (copbench assigns them); not reported. */
     u64 poolContentCacheHits = 0;
     u64 poolContentCacheMisses = 0;
     // --- fast-timing divergence accounting (all zero when off) --------
@@ -318,7 +310,7 @@ class System
     StatsRegistry statsRegistry_;
     DramSystem dram_;
     SetAssocCache llc_;
-    std::unique_ptr<EncodeMemo> encodeMemo_;
+    EncodeCounter encodes_;
     std::unique_ptr<MemoryController> controller_;
     std::unique_ptr<LiveInjector> injector_;
     std::vector<Core> cores_;
@@ -364,14 +356,14 @@ class System
 };
 
 /**
- * Factory for the memory-controller variants. @p memo (caller-owned,
- * may be null) attaches the encode memo to the COP-family controllers.
+ * Factory for the memory-controller variants. @p encodes (caller-owned,
+ * may be null) counts the COP-family controllers' encodes.
  */
 std::unique_ptr<MemoryController>
 makeController(ControllerKind kind, DramSystem &dram,
                MemoryController::ContentSource content,
                Cycle decode_latency, u64 meta_cache_bytes,
-               EncodeMemo *memo = nullptr);
+               EncodeCounter *encodes = nullptr);
 
 } // namespace cop
 

@@ -4,11 +4,9 @@ namespace cop {
 
 TraceReplayGenerator::TraceReplayGenerator(
     const WorkloadProfile &profile, unsigned core_id,
-    std::unique_ptr<TraceSource> source,
-    unsigned content_cache_entries)
+    std::unique_ptr<TraceSource> source)
     : src_(std::move(source)),
-      pool_(profile, contentPoolSalt(profile, core_id),
-            content_cache_entries)
+      pool_(profile, contentPoolSalt(profile, core_id))
 {
     COP_ASSERT(src_ != nullptr);
 }
@@ -40,8 +38,7 @@ makeTraceReplayFactory(const WorkloadProfile &profile,
 {
     COP_ASSERT(!paths.empty());
     return [&profile, paths = std::move(paths),
-            format](unsigned core,
-                    unsigned cache_entries) -> std::unique_ptr<EpochSource> {
+            format](unsigned core) -> std::unique_ptr<EpochSource> {
         if (core >= paths.size()) {
             COP_FATAL("replay has " + std::to_string(paths.size()) +
                       " trace file(s) but the system asked for core " +
@@ -49,8 +46,7 @@ makeTraceReplayFactory(const WorkloadProfile &profile,
                       " (pass one --trace-in per core)");
         }
         return std::make_unique<TraceReplayGenerator>(
-            profile, core, openTraceSource(paths[core], format),
-            cache_entries);
+            profile, core, openTraceSource(paths[core], format));
     };
 }
 

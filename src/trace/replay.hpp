@@ -28,9 +28,7 @@ class TraceReplayGenerator : public EpochSource
   public:
     TraceReplayGenerator(const WorkloadProfile &profile,
                          unsigned core_id,
-                         std::unique_ptr<TraceSource> source,
-                         unsigned content_cache_entries =
-                             kDefaultContentCacheEntries);
+                         std::unique_ptr<TraceSource> source);
 
     const Epoch &next() override;
 

@@ -16,25 +16,11 @@ mix64(u64 z)
     return z ^ (z >> 31);
 }
 
-/** Power-of-two content-cache slot count (0 stays 0: counting only). */
-u64
-cacheSlotsFor(unsigned entries)
-{
-    if (entries == 0)
-        return 0;
-    u64 slots = 1;
-    while (slots < entries)
-        slots <<= 1;
-    return slots;
-}
-
 } // namespace
 
 BlockContentPool::BlockContentPool(const WorkloadProfile &profile,
-                                   u64 seed_salt, unsigned cache_entries)
-    : profile_(profile), seed_(profile.seed() ^ seed_salt),
-      cacheSlots_(cacheSlotsFor(cache_entries)),
-      cacheMask_(cacheSlots_ == 0 ? 0 : cacheSlots_ - 1)
+                                   u64 seed_salt)
+    : profile_(profile), seed_(profile.seed() ^ seed_salt)
 {
     double acc = 0;
     for (unsigned c = 0; c < kBlockCategories; ++c) {
@@ -78,35 +64,8 @@ const CacheBlock &
 BlockContentPool::blockForRef(Addr block_addr) const
 {
     ++blockForCalls_;
-    u32 version = 0;
-    if (!versions_.empty()) {
-        if (auto it = versions_.find(block_addr); it != versions_.end())
-            version = it->second;
-    }
-
-    if (cacheSlots_ == 0) {
-        scratch_ = generateAt(block_addr, version);
-        return scratch_;
-    }
-    if (cache_.empty())
-        cache_.resize(cacheSlots_);
-
-    // Direct-mapped on the block index: the hot working set is a
-    // contiguous slice of the footprint, so it maps conflict-free. A
-    // version bump leaves the stale entry in place — the full
-    // (addr, version) compare rejects it and the regeneration below
-    // overwrites the slot, so old versions can never be returned.
-    CacheSlot &slot = cache_[(block_addr / kBlockBytes) & cacheMask_];
-    if (slot.valid && slot.addr == block_addr &&
-        slot.version == version) {
-        ++contentCacheHits_;
-        return slot.block;
-    }
-    slot.block = generateAt(block_addr, version);
-    slot.addr = block_addr;
-    slot.version = version;
-    slot.valid = true;
-    return slot.block;
+    scratch_ = generateAt(block_addr, versionOf(block_addr));
+    return scratch_;
 }
 
 void
@@ -137,15 +96,13 @@ contentPoolSalt(const WorkloadProfile &profile, unsigned core_id)
 }
 
 TraceGenerator::TraceGenerator(const WorkloadProfile &profile,
-                               unsigned core_id, u64 seed_salt,
-                               unsigned content_cache_entries)
+                               unsigned core_id, u64 seed_salt, unsigned)
     : profile_(profile),
       rng_(profile.seed() ^ mix64(core_id + 1) ^ seed_salt),
       base_(profile.sharedFootprint
                 ? 0
                 : core_id * profile.footprintBlocks * kBlockBytes),
-      pool_(profile, contentPoolSalt(profile, core_id),
-            content_cache_entries)
+      pool_(profile, contentPoolSalt(profile, core_id))
 {
     cursor_ = rng_.below(profile.footprintBlocks);
 }

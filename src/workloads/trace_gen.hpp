@@ -20,31 +20,16 @@
 namespace cop {
 
 /**
- * Default blockFor content-cache slots per pool (~1.3 MB). Plenty for
- * the hot working set the trace generator clusters on (1/16th of the
- * footprint); SystemConfig::contentCacheEntries overrides.
- */
-inline constexpr unsigned kDefaultContentCacheEntries = 1u << 14;
-
-/**
  * Deterministic functional memory: the content of every block is a pure
  * function of (profile, address, version); stores bump the version.
  * The category of an address never changes — data structures keep their
  * type — so compressibility is stationary per benchmark, as in reality.
- *
- * blockFor is memoised through a direct-mapped cache keyed on
- * (addr, version): a repeated call for an unchanged block is a copy,
- * not a regeneration through the RNG. Because content is a pure
- * function of the key, the cache cannot change any result — only the
- * hit/miss counters observe it (see DESIGN.md "functional-memory
- * purity"). 0 entries disables caching but keeps the counters.
  */
 class BlockContentPool
 {
   public:
-    explicit BlockContentPool(
-        const WorkloadProfile &profile, u64 seed_salt = 0,
-        unsigned cache_entries = kDefaultContentCacheEntries);
+    explicit BlockContentPool(const WorkloadProfile &profile,
+                              u64 seed_salt = 0);
 
     /** Stationary data category of an address. */
     BlockCategory categoryOf(Addr block_addr) const;
@@ -62,10 +47,9 @@ class BlockContentPool
     }
 
     /**
-     * Current content of a block, without the copy. The reference is
-     * valid until the next blockFor/blockForRef call on this pool (it
-     * points into the content cache, or into a scratch slot when
-     * caching is disabled).
+     * Current content of a block, without the copy. The reference
+     * points into a scratch slot and is valid until the next
+     * blockFor/blockForRef call on this pool.
      */
     const CacheBlock &blockForRef(Addr block_addr) const;
 
@@ -102,10 +86,8 @@ class BlockContentPool
 
     /**
      * Force a block's version (fast-timing merge only: advance this
-     * shard's view to the globally merged count). Does not touch the
-     * content cache — the stale cached image, if any, is tolerated by
-     * the fast-timing divergence contract and replaced on the next
-     * version-keyed miss.
+     * shard's view to the globally merged count). The next blockFor
+     * generates the content at the new version.
      */
     void setVersion(Addr block_addr, u32 version)
     {
@@ -114,7 +96,7 @@ class BlockContentPool
 
     /**
      * Generate the content of @p block_addr at an explicit @p version,
-     * bypassing the version map, the content cache and every counter.
+     * bypassing the version map and every counter.
      * A pure function of immutable state (profile, seed, CDF).
      */
     CacheBlock generateAt(Addr block_addr, u32 version) const;
@@ -131,29 +113,21 @@ class BlockContentPool
     void reserveVersions(u64 blocks) { versions_.reserve(blocks); }
 
     // --- perf observability (pool.* gauges, results JSON) -------------
-    /** Total blockFor invocations (hot-path dedup regression metric). */
+    /**
+     * Total blockFor invocations, each one a regeneration (hot-path
+     * dedup regression metric).
+     */
     u64 blockForCalls() const { return blockForCalls_; }
-    /** blockFor calls served from the content cache. */
-    u64 contentCacheHits() const { return contentCacheHits_; }
-    u64
-    contentCacheMisses() const
-    {
-        return blockForCalls_ - contentCacheHits_;
-    }
     /** Version-map load-factor observability. */
     u64 versionMapEntries() const { return versions_.size(); }
     u64 versionMapSlots() const { return versions_.capacity(); }
 
-  private:
-    /** One direct-mapped content-cache slot. */
-    struct CacheSlot
-    {
-        Addr addr = 0;
-        u32 version = 0;
-        bool valid = false;
-        CacheBlock block;
-    };
+    // --- compatibility names (copbench) ------------------------------
+    // The content cache is gone; copbench still reads its counters.
+    u64 contentCacheHits() const { return 0; }
+    u64 contentCacheMisses() const { return blockForCalls_; }
 
+  private:
     u64 mixHash(Addr block_addr) const;
 
     const WorkloadProfile &profile_;
@@ -161,19 +135,9 @@ class BlockContentPool
     /** Cumulative mix distribution for category sampling. */
     std::array<double, kBlockCategories> cdf_{};
     FlatMap<u32> versions_;
-    /**
-     * blockFor is logically const; the cache and counters are not.
-     * Allocated lazily on the first blockFor call — pools on cores
-     * that never miss (or Systems built only to read config) skip the
-     * multi-megabyte zero-fill entirely.
-     */
-    mutable std::vector<CacheSlot> cache_;
-    u64 cacheSlots_ = 0;
-    u64 cacheMask_ = 0;
-    /** blockForRef return storage when the cache is disabled. */
+    /** blockFor is logically const; its return slot and counter are not. */
     mutable CacheBlock scratch_;
     mutable u64 blockForCalls_ = 0;
-    mutable u64 contentCacheHits_ = 0;
     /** Fast-timing merge support (see enableBumpLog). */
     bool bumpLogEnabled_ = false;
     std::vector<Addr> bumpLog_;
@@ -245,12 +209,9 @@ class EpochSource
     EpochSource() = default;
 };
 
-/**
- * Builds one EpochSource per core (SystemConfig::epochSource).
- * @p content_cache_entries sizes the source's BlockContentPool cache.
- */
-using EpochSourceFactory = std::function<std::unique_ptr<EpochSource>(
-    unsigned core, unsigned content_cache_entries)>;
+/** Builds one EpochSource per core (SystemConfig::epochSource). */
+using EpochSourceFactory =
+    std::function<std::unique_ptr<EpochSource>(unsigned core)>;
 
 /**
  * Pool seed salt for @p core_id under @p profile — the value
@@ -267,10 +228,12 @@ u64 contentPoolSalt(const WorkloadProfile &profile, unsigned core_id);
 class TraceGenerator : public EpochSource
 {
   public:
+    /**
+     * The unnamed last parameter is a compatibility slot (copbench
+     * still passes the removed content-cache size); it is ignored.
+     */
     TraceGenerator(const WorkloadProfile &profile, unsigned core_id,
-                   u64 seed_salt = 0,
-                   unsigned content_cache_entries =
-                       kDefaultContentCacheEntries);
+                   u64 seed_salt = 0, unsigned = 0);
 
     const Epoch &next() override;
 

@@ -144,9 +144,9 @@ const char *const kPinnedPrefix =
     "\"meta_reads\":0,\"meta_writes\":0,\"meta_cache_hits\":0,"
     "\"meta_cache_misses\":0,\"scheme_writes_msb\":0,"
     "\"scheme_writes_rle\":0,\"scheme_writes_txt\":0,"
-    "\"codec_encode_calls\":0,\"codec_memo_hits\":0,"
-    "\"codec_scheme_trials\":0,\"ever_uncompressed_blocks\":0,"
-    "\"touched_blocks\":0,\"ecc_region_bytes\":0,"
+    "\"codec_encode_calls\":0,\"codec_scheme_trials\":0,"
+    "\"ever_uncompressed_blocks\":0,\"touched_blocks\":0,"
+    "\"ecc_region_bytes\":0,"
     "\"ecc_region_bytes_no_dealloc\":0,\"err_fault_events\":0,"
     "\"err_bits_flipped\":0,\"err_cold_faults\":0,"
     "\"err_faults_on_retired_pages\":0,\"err_benign\":0,"

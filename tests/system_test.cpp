@@ -126,6 +126,30 @@ TEST(System, DeterministicAcrossRuns)
     EXPECT_EQ(ra.llcMisses, rb.llcMisses);
 }
 
+TEST(System, AtMostTwoContentRegenerationsPerMiss)
+{
+    // The hot-path dedup contract. Every blockFor call regenerates
+    // content, so the call count is the regeneration count. A miss
+    // needs at most two (the first-touch DRAM image and the oracle);
+    // a dirty eviction needs one, the filter probe, whose block the
+    // writeback reuses, and so does each alias the filter pins. The
+    // pre-dedup fill path regenerated once more per miss and fails
+    // this bound.
+    const auto &profile = WorkloadRegistry::byName("mcf");
+    for (ControllerKind kind :
+         {ControllerKind::Cop4, ControllerKind::Unprotected}) {
+        System sys(profile, smallConfig(kind, 2, 800));
+        const SystemResults r = sys.run();
+        ASSERT_GT(r.llcMisses, 0u);
+        EXPECT_GE(r.poolBlockForCalls, r.llcMisses)
+            << "oracle consults functional memory on every miss";
+        EXPECT_LE(r.poolBlockForCalls,
+                  2 * r.llcMisses + r.writebacks + r.aliasPinEvents)
+            << controllerKindName(kind)
+            << ": content regenerated more than the bound allows";
+    }
+}
+
 TEST(System, ProactiveAliasCheckRunsClean)
 {
     // Section 3.1's alternative policy: checking at LLC-write time.

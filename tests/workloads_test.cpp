@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 
 #include "compress/combined.hpp"
@@ -210,6 +211,23 @@ TEST(ContentPool, VersionBumpChangesContentButNotCategory)
     EXPECT_EQ(pool.blockFor(addr), pool.blockFor(addr));
 }
 
+TEST(ContentPool, VersionBumpChangesExactlyThatBlock)
+{
+    const auto &profile = WorkloadRegistry::byName("gcc");
+    BlockContentPool pool(profile, 0);
+    const Addr a = 0, b = kBlockBytes;
+    const CacheBlock a0 = pool.blockFor(a);
+    const CacheBlock b0 = pool.blockFor(b);
+    EXPECT_EQ(pool.blockFor(a), a0); // repeat: same bits
+
+    pool.bumpVersion(a);
+    EXPECT_NE(pool.blockFor(a), a0) << "bump must change content";
+    EXPECT_EQ(pool.blockFor(b), b0) << "bump must not leak to b";
+    // The old version can never be served again.
+    const CacheBlock a1 = pool.blockFor(a);
+    EXPECT_EQ(pool.blockFor(a), a1);
+}
+
 TEST(ContentPool, CategoryDistributionTracksMix)
 {
     const auto &prof = WorkloadRegistry::byName("perlbench");
@@ -233,6 +251,40 @@ TEST(ContentPool, SampleDrawsFromMix)
         compressible += combined.compressible(b);
     // bwaves is ~85%+ compressible under the combined scheme.
     EXPECT_GT(compressible, 1500u);
+}
+
+TEST(CategoryFromUniform, MatchesMixWeights)
+{
+    const auto &profile = WorkloadRegistry::byName("mcf");
+    BlockContentPool pool(profile, 0);
+
+    // The CDF walk at the exact draw reproduces the configured mix.
+    std::array<u64, kBlockCategories> counts{};
+    Rng rng(0xCDF);
+    constexpr unsigned kDraws = 200000;
+    for (unsigned i = 0; i < kDraws; ++i)
+        ++counts[static_cast<unsigned>(
+            pool.categoryFromUniform(rng.uniform()))];
+
+    for (unsigned c = 0; c < kBlockCategories; ++c) {
+        const double expect = profile.mix.weight[c];
+        const double got =
+            static_cast<double>(counts[c]) / kDraws;
+        EXPECT_NEAR(got, expect, 0.01)
+            << "category " << c << " frequency drifted";
+    }
+
+    // categoryOf is categoryFromUniform over a hashed-address draw:
+    // address-indexed frequencies converge to the same mix.
+    std::array<u64, kBlockCategories> byAddr{};
+    constexpr unsigned kBlocks = 100000;
+    for (Addr a = 0; a < u64{kBlocks} * kBlockBytes; a += kBlockBytes)
+        ++byAddr[static_cast<unsigned>(pool.categoryOf(a))];
+    for (unsigned c = 0; c < kBlockCategories; ++c) {
+        EXPECT_NEAR(static_cast<double>(byAddr[c]) / kBlocks,
+                    profile.mix.weight[c], 0.015)
+            << "category " << c;
+    }
 }
 
 // ---------------------------------------------------------------------
