@@ -1,10 +1,12 @@
 /**
  * @file
- * Layer micro bench for the per-block hash tables (common/flat_map.hpp):
- * find-hit, find-miss and insert on FlatMap<CacheBlock> (the stored DRAM
- * image table) and FlatMap<u32> (the content pool's version map), each
- * at 2^21 slots — the size the image table reaches on the repository
- * benchmark's System runs — and at loads 0.45 and 0.85.
+ * Layer micro bench for the per-block table (common/block_state.hpp on
+ * common/flat_map.hpp): find-hit, find-miss and insert on
+ * FlatMap<BlockState> at 2^21 slots — the size the table reaches on the
+ * repository benchmark's System runs — and at loads 0.45 and 0.85, plus
+ * the cost of building an empty table reserved to 2^21 slots (the
+ * mapped, prefaulted slot array and the zeroed control bytes: the
+ * table's share of a System's setup time).
  *
  * Keys are block-aligned addresses, as in the simulator; lookups visit
  * them in a shuffled order so the hardware prefetcher cannot follow the
@@ -20,12 +22,10 @@
 #include <cstdlib>
 #include <ctime>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "common/cache_block.hpp"
-#include "common/flat_map.hpp"
+#include "common/block_state.hpp"
 #include "common/rng.hpp"
 #include "run_util.hpp"
 
@@ -80,32 +80,18 @@ spreadJson(const Spread &s)
     return obj.str();
 }
 
-/** A key-dependent value, so stores cannot be folded away. */
-template <typename V>
-V
+/** A key-dependent record, so stores cannot be folded away. */
+BlockState
 valueFor(u64 key)
 {
-    if constexpr (std::is_same_v<V, CacheBlock>) {
-        CacheBlock b;
-        b.setWord64(0, key);
-        return b;
-    } else {
-        return static_cast<V>(key >> 6);
-    }
+    BlockState b;
+    b.version = static_cast<u32>(key >> 6);
+    b.hasImage = true;
+    b.image.setWord64(0, key);
+    return b;
 }
 
-template <typename V>
-u64
-touch(const V &v)
-{
-    if constexpr (std::is_same_v<V, CacheBlock>)
-        return v.word64(0);
-    else
-        return v;
-}
-
-/** Time the three operations on FlatMap<V> filled to @p load. */
-template <typename V>
+/** Time the three operations on the block table filled to @p load. */
 std::string
 measureMap(const char *name, double load)
 {
@@ -122,13 +108,13 @@ measureMap(const char *name, double load)
     for (u64 i = entries - 1; i > 0; --i) // Fisher-Yates
         std::swap(keys[i], keys[rng.below(i + 1)]);
 
-    FlatMap<V> map;
+    BlockTable map;
     const Spread insert = measure(entries, [&] {
-        map = FlatMap<V>();
+        map = BlockTable();
         map.reserve(entries);
         const double t0 = cpuSeconds();
         for (const u64 k : keys)
-            map.emplace(k, valueFor<V>(k));
+            map.emplace(k, valueFor(k));
         return cpuSeconds() - t0;
     });
     if (map.capacity() != kSlots || map.size() != entries) {
@@ -147,7 +133,7 @@ measureMap(const char *name, double load)
         for (const u64 k : queries) {
             const auto it = map.find(k);
             if (it != map.end())
-                acc += touch(it->second);
+                acc += it->second.image.word64(0);
         }
         g_sink = g_sink + acc;
         return cpuSeconds() - t0;
@@ -168,6 +154,31 @@ measureMap(const char *name, double load)
     return obj.str();
 }
 
+/**
+ * Time building an empty table reserved to kSlots slots, in ms per
+ * table; freeing it is outside the timed region.
+ */
+Spread
+measureBuild()
+{
+    // The largest entry count that still fits in kSlots slots.
+    const u64 entries = kSlots - kSlots / 8 - 1;
+    return measure(1, [&] {
+        const double t0 = cpuSeconds();
+        BlockTable map;
+        map.reserve(entries);
+        const double spent = cpuSeconds() - t0;
+        if (map.capacity() != kSlots) {
+            std::fprintf(stderr, "micro_maps: reserved %llu slots, "
+                                 "expected %llu\n",
+                         static_cast<unsigned long long>(map.capacity()),
+                         static_cast<unsigned long long>(kSlots));
+            std::exit(1);
+        }
+        return spent * 1e-6; // measure() reports ns/op; this is ms
+    });
+}
+
 int
 run()
 {
@@ -175,18 +186,23 @@ run()
     for (const double load : {0.45, 0.85}) {
         char suffix[16];
         std::snprintf(suffix, sizeof suffix, "@%.2f", load);
-        cells.addRaw(std::string("cacheblock") + suffix,
-                     measureMap<CacheBlock>("FlatMap<CacheBlock>", load));
-        cells.addRaw(std::string("u32") + suffix,
-                     measureMap<u32>("FlatMap<u32>", load));
+        cells.addRaw(std::string("blockstate") + suffix,
+                     measureMap("FlatMap<BlockState>", load));
     }
+    const Spread build = measureBuild();
+    std::printf("%-22s reserve %llu slots  build %7.1f ms/table "
+                "(median of %u)\n",
+                "FlatMap<BlockState>", static_cast<unsigned long long>(kSlots),
+                build.median, kPasses);
     bench::JsonObjectBuilder top;
     top.add("bench", std::string("micro_maps"));
     top.add("slots", kSlots);
+    top.add("slot_bytes", static_cast<u64>(sizeof(BlockTable::value_type) + 1));
     top.add("passes", static_cast<u64>(kPasses));
     top.add("queries_per_pass", static_cast<u64>(kQueries));
     top.add("timing", std::string("process_cpu"));
     top.addRaw("maps", cells.str());
+    top.addRaw("build_reserved_ms", spreadJson(build));
     bench::writeResultsFile("micro_maps.json", top.str());
     return 0;
 }

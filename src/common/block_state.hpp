@@ -1,0 +1,81 @@
+/**
+ * @file
+ * BlockState: everything the simulator keeps per data block, in one
+ * record of one table. A System owns one BlockTable and hands it to
+ * every core's BlockContentPool (content versions) and to its memory
+ * controller (stored images, write times, transfer sizes), so an L3
+ * fill, its oracle check and a dirty victim's writeback each touch one
+ * record instead of probing a separate table per layer. A pool or
+ * controller used on its own keeps a private table through the same
+ * BlockTableRef.
+ */
+
+#ifndef COP_COMMON_BLOCK_STATE_HPP
+#define COP_COMMON_BLOCK_STATE_HPP
+
+#include "common/cache_block.hpp"
+#include "common/flat_map.hpp"
+
+namespace cop {
+
+/**
+ * Per-block record: an 88-byte slot with its key, plus 1 control byte.
+ * The small fields come first, so a version or write-time lookup reads
+ * the cache line that holds the key, and only a fill or a writeback
+ * touches the image's lines.
+ */
+struct BlockState
+{
+    /** Cycle of the last write (the vulnerability clock's origin). */
+    Cycle lastWrite = 0;
+    /** Content version: stores to the block so far. */
+    u32 version = 0;
+    /**
+     * The block has a stored image. Cleared, not erased, when an
+     * alias-reject recovery drops the image, so the version and write
+     * time survive and the next read re-runs first touch.
+     */
+    bool hasImage = false;
+    /** Some fill of the block came back uncompressed (System). */
+    bool everUncompressed = false;
+    /** COP-ER stored the block through a region entry at least once. */
+    bool everIncompressible = false;
+    /** Bandwidth-mode burst length of the image; 0 means a full burst. */
+    u8 beats = 0;
+    /** Stored DRAM image; meaningful only while hasImage is set. */
+    CacheBlock image;
+};
+
+using BlockTable = FlatMap<BlockState>;
+static_assert(sizeof(BlockTable::value_type) == 88);
+
+/**
+ * The block table a pool or controller works on: its own private one
+ * until share() points it at a System's shared table. Must be shared
+ * before first use; non-copyable, since a copy would alias the table.
+ */
+class BlockTableRef
+{
+  public:
+    BlockTableRef() = default;
+    BlockTableRef(const BlockTableRef &) = delete;
+    BlockTableRef &operator=(const BlockTableRef &) = delete;
+
+    void
+    share(BlockTable &table)
+    {
+        COP_ASSERT(own_.empty());
+        table_ = &table;
+    }
+
+    BlockTable &operator*() const { return *table_; }
+    BlockTable *operator->() const { return table_; }
+
+  private:
+    BlockTable own_;
+    BlockTable *table_ = &own_;
+};
+
+} // namespace cop
+
+#endif // COP_COMMON_BLOCK_STATE_HPP

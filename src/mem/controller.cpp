@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "ecc/secded.hpp"
 
@@ -68,44 +69,57 @@ MemoryController::noteTransferBits(Addr addr, unsigned bits)
     const unsigned beats =
         std::max(1u, (bits + kBusBitsPerBeat - 1) / kBusBitsPerBeat);
     const unsigned clamped = std::max(beats, bwBeatFloor_);
-    if (clamped >= kBeatsPerBlock)
-        xferBeats_.erase(addr);
-    else
-        xferBeats_[addr] = static_cast<u8>(clamped);
+    record(addr).beats =
+        clamped >= kBeatsPerBlock ? 0 : static_cast<u8>(clamped);
 }
 
 const CacheBlock &
 MemoryController::storedImage(Addr addr)
 {
-    const auto [it, inserted] = image_.emplace(addr);
-    if (inserted) {
-        it->second = content_(addr);
+    // The content source only reads the table, so `rec` stays valid.
+    BlockState &rec = record(addr);
+    if (!rec.hasImage) {
+        rec.image = content_(addr);
+        rec.hasImage = true;
+        ++images_;
         imageWritten(addr);
         if (fault_.enabled)
             applyStuckBits(addr);
     }
-    return it->second;
+    return rec.image;
+}
+
+const CacheBlock *
+MemoryController::imageOf(Addr addr) const
+{
+    const BlockTable &table = *blocks_;
+    const auto it = table.find(addr);
+    return it != table.end() && it->second.hasImage ? &it->second.image
+                                                    : nullptr;
 }
 
 CacheBlock *
 MemoryController::imageOf(Addr addr)
 {
-    auto it = image_.find(addr);
-    return it == image_.end() ? nullptr : &it->second;
+    return const_cast<CacheBlock *>(std::as_const(*this).imageOf(addr));
 }
 
 const CacheBlock &
 MemoryController::setImage(Addr addr, const CacheBlock &stored)
 {
-    CacheBlock &img = image_[addr];
-    img = stored;
+    BlockState &rec = record(addr);
+    if (!rec.hasImage) {
+        rec.hasImage = true;
+        ++images_;
+    }
+    rec.image = stored;
     imageWritten(addr);
     if (fault_.enabled) {
         fault_.faulted.erase(addr);
         fault_.silentKnown.erase(addr);
         applyStuckBits(addr);
     }
-    return img;
+    return rec.image;
 }
 
 void
@@ -115,15 +129,9 @@ MemoryController::logVuln(VulnClass cls, Addr addr, Cycle now)
     if (opMode_ != OpMode::Demand)
         return; // retries/scrub re-decode; not a new exposure
     Cycle since = 0;
-    if (auto it = lastWrite_.find(addr); it != lastWrite_.end())
-        since = it->second;
+    if (const auto it = blocks_->find(addr); it != blocks_->end())
+        since = it->second.lastWrite;
     vuln_.record(cls, now >= since ? now - since : 0);
-}
-
-void
-MemoryController::noteWrite(Addr addr, Cycle now)
-{
-    lastWrite_[addr] = now;
 }
 
 void
@@ -256,9 +264,11 @@ std::vector<Addr>
 MemoryController::imageAddressesSorted() const
 {
     std::vector<Addr> out;
-    out.reserve(image_.size());
-    for (const auto &kv : image_)
-        out.push_back(kv.first);
+    out.reserve(images_);
+    for (const auto &kv : *blocks_) {
+        if (kv.second.hasImage)
+            out.push_back(kv.first);
+    }
     std::sort(out.begin(), out.end());
     return out;
 }
@@ -350,9 +360,14 @@ MemoryController::recoveryWriteback(Addr addr, const CacheBlock &data,
         // The repaired content is an incompressible alias, which can
         // never live in DRAM; drop the stored image so the next miss
         // re-runs first-touch handling (and pins the line). The
-        // transfer-size sidecar entry belongs to the dropped image.
-        image_.erase(addr);
-        xferBeats_.erase(addr);
+        // transfer size belongs to the dropped image; the version and
+        // write time are the block's history and stay.
+        BlockState &rec = record(addr);
+        if (rec.hasImage) {
+            rec.hasImage = false;
+            --images_;
+        }
+        rec.beats = 0;
         fault_.faulted.erase(addr);
         fault_.silentKnown.erase(addr);
     }
@@ -362,7 +377,7 @@ void
 MemoryController::patrolScrub(Addr addr, Cycle now)
 {
     COP_ASSERT(fault_.enabled);
-    if (image_.find(addr) == image_.end())
+    if (imageOf(addr) == nullptr)
         return;
     ++fault_.log.scrubbedBlocks;
     opMode_ = OpMode::Scrub;

@@ -38,6 +38,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/block_state.hpp"
 #include "common/cache_block.hpp"
 #include "common/flat_map.hpp"
 #include "dram/dram_system.hpp"
@@ -117,11 +118,13 @@ struct MemStats
 class MemoryController
 {
   public:
-    /** Supplies the initial (pre-trace) content of any block. */
     /**
-     * Functional-memory lookup. Returns a reference (valid until the
-     * next source invocation) so the per-read hot path does not copy a
-     * whole block; callees that keep the content must copy it.
+     * Supplies the initial (pre-trace) content of any block from
+     * functional memory. Returns a reference (valid until the next
+     * source invocation) so the per-read hot path does not copy a
+     * whole block; callees that keep the content must copy it. It must
+     * not insert into the controller's block table: the controller
+     * calls it while holding the block's record.
      */
     using ContentSource = std::function<const CacheBlock &(Addr)>;
 
@@ -222,28 +225,27 @@ class MemoryController
 
     /** Direct access to the stored DRAM image (fault injection). */
     CacheBlock *imageOf(Addr addr);
+    const CacheBlock *imageOf(Addr addr) const;
     /**
      * Overwrite the stored image (fault injection); returns it as
      * stored, stuck bits applied (valid until the next image insert).
      */
     const CacheBlock &setImage(Addr addr, const CacheBlock &stored);
     /** Distinct blocks with a stored image (touched footprint). */
-    u64 imageBlockCount() const { return image_.size(); }
-    /** Allocated image hash slots (load-factor observability). */
-    u64 imageSlotCount() const { return image_.capacity(); }
+    u64 imageBlockCount() const { return images_; }
 
     /**
-     * Pre-size the stored-image and write-timestamp maps for an
-     * expected touched footprint of @p blocks. Purely an allocation
-     * hint; the check sidecars start empty because they only hold
-     * faulted blocks.
+     * Keep images, write times and transfer sizes in @p table (a
+     * System's shared per-block table); call before the first access.
      */
-    void
-    reserveFootprint(u64 blocks)
-    {
-        image_.reserve(blocks);
-        lastWrite_.reserve(blocks);
-    }
+    void shareBlockTable(BlockTable &table) { blocks_.share(table); }
+
+    /**
+     * Pre-size the block table for an expected touched footprint of
+     * @p blocks. Purely an allocation hint; the check sidecars start
+     * empty because they only hold faulted blocks.
+     */
+    void reserveFootprint(u64 blocks) { blocks_->reserve(blocks); }
 
     // --- fault injection and error recovery ----------------------------
 
@@ -312,9 +314,9 @@ class MemoryController
     virtual MemReadResult readImpl(Addr addr, Cycle now) = 0;
 
     /**
-     * Flip one stored bit. The default handles the 512 data bits in
-     * image_; variants with out-of-block redundancy (check sidecars,
-     * COP-ER entries) override for indices >= 512.
+     * Flip one stored bit. The default handles the 512 data bits of
+     * the stored image; variants with out-of-block redundancy (check
+     * sidecars, COP-ER entries) override for indices >= 512.
      */
     virtual void flipStoredBit(Addr addr, unsigned bit);
 
@@ -362,8 +364,10 @@ class MemoryController
     {
         if (!bwMode_)
             return 8;
-        const auto it = xferBeats_.find(addr);
-        return it == xferBeats_.end() ? 8 : it->second;
+        const auto it = blocks_->find(addr);
+        return it == blocks_->end() || it->second.beats == 0
+                   ? 8
+                   : it->second.beats;
     }
 
     /**
@@ -385,7 +389,10 @@ class MemoryController
     /** Record a read-from-DRAM reliability observation. */
     void logVuln(VulnClass cls, Addr addr, Cycle now);
     /** Record a write (resets the vulnerability clock). */
-    void noteWrite(Addr addr, Cycle now);
+    void noteWrite(Addr addr, Cycle now) { record(addr).lastWrite = now; }
+
+    /** The block's record, created on first use. */
+    BlockState &record(Addr addr) { return (*blocks_)[addr]; }
 
     /** Is the stored image of @p addr carrying injected faults? */
     bool
@@ -420,8 +427,6 @@ class MemoryController
     ContentSource content_;
     MemStats stats_;
     VulnLog vuln_;
-    FlatMap<CacheBlock> image_;
-    FlatMap<Cycle> lastWrite_;
     OpMode opMode_ = OpMode::Demand;
 
   private:
@@ -452,6 +457,15 @@ class MemoryController
     void recoveryWriteback(Addr addr, const CacheBlock &data, Cycle now,
                            bool was_uncompressed);
 
+    /**
+     * Per-block records: stored images, write times and, in bandwidth
+     * mode, the burst length of each image (metadata addresses, the
+     * memlayout::kMetaBase / kTreeBase spaces, never get one, so their
+     * transfers stay 8 beats).
+     */
+    BlockTableRef blocks_;
+    /** Records with hasImage set. */
+    u64 images_ = 0;
     FaultState fault_;
     AdaptiveStats adaptive_;
     /** Class of the most recent readImpl fill (set by logVuln). */
@@ -460,13 +474,6 @@ class MemoryController
     // --- bandwidth-compression mode state -----------------------------
     bool bwMode_ = false;
     unsigned bwBeatFloor_ = 8;
-    /**
-     * Shortened-transfer sidecar: data-block address -> burst beats.
-     * Only sub-8-beat entries are stored (full bursts stay absent), and
-     * metadata addresses (memlayout::kMetaBase / kTreeBase spaces) are
-     * never recorded, so their transfers default to 8 beats.
-     */
-    FlatMap<u8> xferBeats_;
 };
 
 /** Plain non-ECC DIMM: no protection, no overheads. */

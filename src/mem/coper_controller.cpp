@@ -101,7 +101,11 @@ CopErController::storeIncompressible(Addr addr, const CacheBlock &data,
                                      Cycle now, bool reuse_existing,
                                      u32 reuse_index)
 {
-    everIncompressible_.insert(addr);
+    BlockState &rec = record(addr);
+    if (!rec.everIncompressible) {
+        rec.everIncompressible = true;
+        ++incompressibleBlocks_;
+    }
     u32 index;
     if (reuse_existing) {
         ++erStats_.entryReuses;
@@ -144,13 +148,13 @@ CopErController::storeIncompressible(Addr addr, const CacheBlock &data,
 unsigned
 CopErController::storedBits(Addr addr) const
 {
-    const auto it = image_.find(addr);
-    if (it == image_.end())
+    const CacheBlock *img = imageOf(addr);
+    if (img == nullptr)
         return kBlockBits;
     // 512 in-place bits, plus the ECC-region entry for incompressible
     // blocks (34 displaced + 11 check + 1 valid = 46).
-    return codec_.decode(it->second).compressed ? kBlockBits
-                                                : kBlockBits + 46;
+    return codec_.decode(*img).compressed ? kBlockBits
+                                          : kBlockBits + 46;
 }
 
 void

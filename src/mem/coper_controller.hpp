@@ -106,7 +106,7 @@ class CopErController : public MemoryController
     u64
     everIncompressibleBlocks() const
     {
-        return everIncompressible_.size();
+        return incompressibleBlocks_;
     }
 
     /**
@@ -117,7 +117,7 @@ class CopErController : public MemoryController
     storageBytesNoDealloc() const
     {
         return EccRegion::storageBlocksForEntries(
-                   everIncompressible_.size()) *
+                   incompressibleBlocks_) *
                kBlockBytes;
     }
 
@@ -176,7 +176,8 @@ class CopErController : public MemoryController
     Cycle decodeLatency_;
     CopErStats erStats_;
     u64 treeAddrSalt_ = 0;
-    FlatSet everIncompressible_;
+    /** Records whose everIncompressible flag this controller set. */
+    u64 incompressibleBlocks_ = 0;
     /** Entry-block indices currently on the data free-list. */
     FlatSet releasedEntryBlocks_;
 };

@@ -39,11 +39,11 @@ CopErNaiveController::metaAccess(Addr data_addr, Cycle now, bool dirty)
 unsigned
 CopErNaiveController::storedBits(Addr addr) const
 {
-    const auto it = image_.find(addr);
-    if (it == image_.end())
+    const CacheBlock *img = imageOf(addr);
+    if (img == nullptr)
         return kBlockBits;
-    return codec_.decode(it->second).compressed ? kBlockBits
-                                                : kBlockBits + 11;
+    return codec_.decode(*img).compressed ? kBlockBits
+                                          : kBlockBits + 11;
 }
 
 u16 &

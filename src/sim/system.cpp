@@ -179,6 +179,7 @@ System::System(const WorkloadProfile &profile, const SystemConfig &cfg,
                 std::make_unique<TraceGenerator>(profile, c, cfg_.seedSalt);
         }
         cores_[c].pool = &cores_[c].gen->pool();
+        cores_[c].pool->shareBlockTable(blocks_);
     }
     controller_ = makeController(
         cfg_.kind, dram_,
@@ -186,6 +187,7 @@ System::System(const WorkloadProfile &profile, const SystemConfig &cfg,
             return poolFor(addr).blockForRef(addr);
         },
         cfg_.decodeLatency, cfg_.metaCacheBytes, &encodes_);
+    controller_->shareBlockTable(blocks_);
     if (cfg_.bandwidthCompression) {
         if (cfg_.bandwidthBeatFloor < 1 || cfg_.bandwidthBeatFloor > 8)
             COP_FATAL("bandwidthBeatFloor must be in [1, 8]");
@@ -200,7 +202,7 @@ System::System(const WorkloadProfile &profile, const SystemConfig &cfg,
         return !controller_->wouldAliasReject(probedData_);
     };
 
-    // Footprint-based pre-sizing of the flat hash state: the touched
+    // Footprint-based pre-sizing of the block table: the touched
     // footprint is bounded by both the address space and the reference
     // count ((1 + 2*mlp)/2 expected references per epoch), with a hard
     // cap so short unit-test runs stay tiny and huge sweeps do not
@@ -209,22 +211,13 @@ System::System(const WorkloadProfile &profile, const SystemConfig &cfg,
         (profile_.sharedFootprint || cfg_.cores == 1) ? 1 : cfg_.cores;
     const u64 expectedRefs =
         cfg_.epochsPerCore * cfg_.cores * (2 * profile_.mlp + 1) / 2;
-    const u64 touchEstimate =
-        std::min({poolRegions * profile_.footprintBlocks, expectedRefs,
-                  u64{1} << 19});
-    controller_->reserveFootprint(touchEstimate);
-    const u64 writeEstimate = static_cast<u64>(
-        static_cast<double>(touchEstimate / poolRegions) *
-        profile_.writeFraction);
-    for (unsigned c = 0; c < poolRegions; ++c)
-        cores_[c].gen->pool().reserveVersions(writeEstimate);
+    blocks_.reserve(std::min({poolRegions * profile_.footprintBlocks,
+                              expectedRefs, u64{1} << 19}));
 
     if (cfg_.fault.enabled) {
         controller_->enableFaultInjection(cfg_.fault.recovery);
-        const u64 regions =
-            (profile_.sharedFootprint || cfg_.cores == 1) ? 1 : cfg_.cores;
         const u64 footprint =
-            regions * profile_.footprintBlocks * kBlockBytes;
+            poolRegions * profile_.footprintBlocks * kBlockBytes;
         injector_ = std::make_unique<LiveInjector>(
             cfg_.fault, *controller_, footprint, cfg_.seedSalt);
     }
@@ -278,31 +271,20 @@ System::registerAllStats()
             total += core.epochsDone;
         return total;
     });
-    // Functional-memory calls + flat-map load factors. Summed over
-    // every core pool (idle pools contribute zero in shared-footprint
-    // mode).
+    // Functional-memory calls, summed over every core pool (idle
+    // pools contribute zero in shared-footprint mode), and the block
+    // table's load factor.
     statsRegistry_.gauge("pool.block_for_calls", [this] {
         u64 total = 0;
         for (const Core &core : cores_)
             total += core.gen->pool().blockForCalls();
         return total;
     });
-    statsRegistry_.gauge("pool.version_map_entries", [this] {
-        u64 total = 0;
-        for (const Core &core : cores_)
-            total += core.gen->pool().versionMapEntries();
-        return total;
-    });
-    statsRegistry_.gauge("pool.version_map_slots", [this] {
-        u64 total = 0;
-        for (const Core &core : cores_)
-            total += core.gen->pool().versionMapSlots();
-        return total;
-    });
-    statsRegistry_.gauge("pool.image_entries",
+    statsRegistry_.gauge("blocks.records", [this] { return blocks_.size(); });
+    statsRegistry_.gauge("blocks.images",
                          [this] { return controller_->imageBlockCount(); });
-    statsRegistry_.gauge("pool.image_slots",
-                         [this] { return controller_->imageSlotCount(); });
+    statsRegistry_.gauge("blocks.slots",
+                         [this] { return blocks_.capacity(); });
     // On-die SEC filter conservation counters: every injected raw
     // pattern is exactly one of corrected / miscorrected / forwarded
     // (agg_stats.py --check enforces the per-snapshot identity).
@@ -474,8 +456,13 @@ System::handleMiss(Addr addr, bool is_write, Cycle now)
 
     // Track which blocks were ever resident uncompressed (Figure 12's
     // "ever incompressible in DRAM" storage accounting).
-    if (fill.wasUncompressed)
-        everUncompressed_.insert(addr / kBlockBytes * kBlockBytes);
+    if (fill.wasUncompressed) {
+        BlockState &rec = blocks_[addr / kBlockBytes * kBlockBytes];
+        if (!rec.everUncompressed) {
+            rec.everUncompressed = true;
+            ++everUncompressedBlocks_;
+        }
+    }
 
     // The filter's victim block is kept so a filter-approved eviction
     // writes back exactly that block instead of regenerating it (the
@@ -876,7 +863,7 @@ System::collectResults()
     results.vuln = controller_->vulnLog();
     results.errors = controller_->errorLog();
     results.adaptive = controller_->adaptiveStats();
-    results.everUncompressedBlocks = everUncompressed_.size();
+    results.everUncompressedBlocks = everUncompressedBlocks_;
 
     // Footprint actually touched: distinct blocks with a DRAM image.
     results.touchedBlocks = controller_->imageBlockCount();

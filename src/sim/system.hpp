@@ -308,13 +308,20 @@ class System
     const WorkloadProfile &profile_;
     SystemConfig cfg_;
     StatsRegistry statsRegistry_;
+    /**
+     * The one per-block table (DESIGN.md §2), shared by every core's
+     * pool and the controller; declared before them so it outlives
+     * both.
+     */
+    BlockTable blocks_;
     DramSystem dram_;
     SetAssocCache llc_;
     EncodeCounter encodes_;
     std::unique_ptr<MemoryController> controller_;
     std::unique_ptr<LiveInjector> injector_;
     std::vector<Core> cores_;
-    FlatSet everUncompressed_;
+    /** Records whose everUncompressed flag this System set. */
+    u64 everUncompressedBlocks_ = 0;
     u64 writebacks_ = 0;
     u64 missCount_ = 0;
     /**

@@ -71,7 +71,7 @@ BlockContentPool::blockForRef(Addr block_addr) const
 void
 BlockContentPool::bumpVersion(Addr block_addr)
 {
-    ++versions_[block_addr];
+    ++(*blocks_)[block_addr].version;
     if (bumpLogEnabled_)
         bumpLog_.push_back(block_addr);
 }

@@ -14,7 +14,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/flat_map.hpp"
+#include "common/block_state.hpp"
 #include "workloads/profile.hpp"
 
 namespace cop {
@@ -24,12 +24,17 @@ namespace cop {
  * function of (profile, address, version); stores bump the version.
  * The category of an address never changes — data structures keep their
  * type — so compressibility is stationary per benchmark, as in reality.
+ * Versions live in the block table's records (a private table unless
+ * shareBlockTable hands the pool a System's).
  */
 class BlockContentPool
 {
   public:
     explicit BlockContentPool(const WorkloadProfile &profile,
                               u64 seed_salt = 0);
+
+    /** Keep versions in @p table; call before the first store. */
+    void shareBlockTable(BlockTable &table) { blocks_.share(table); }
 
     /** Stationary data category of an address. */
     BlockCategory categoryOf(Addr block_addr) const;
@@ -78,10 +83,8 @@ class BlockContentPool
     u32
     versionOf(Addr block_addr) const
     {
-        if (versions_.empty())
-            return 0;
-        const auto it = versions_.find(block_addr);
-        return it != versions_.end() ? it->second : 0;
+        const auto it = blocks_->find(block_addr);
+        return it != blocks_->end() ? it->second.version : 0;
     }
 
     /**
@@ -91,7 +94,7 @@ class BlockContentPool
      */
     void setVersion(Addr block_addr, u32 version)
     {
-        versions_[block_addr] = version;
+        (*blocks_)[block_addr].version = version;
     }
 
     /**
@@ -109,8 +112,8 @@ class BlockContentPool
      */
     std::vector<CacheBlock> sample(unsigned n, u64 seed) const;
 
-    /** Pre-size the version map for an expected store footprint. */
-    void reserveVersions(u64 blocks) { versions_.reserve(blocks); }
+    /** Pre-size the block table for an expected store footprint. */
+    void reserveVersions(u64 blocks) { blocks_->reserve(blocks); }
 
     // --- perf observability (pool.* gauges, results JSON) -------------
     /**
@@ -118,9 +121,6 @@ class BlockContentPool
      * dedup regression metric).
      */
     u64 blockForCalls() const { return blockForCalls_; }
-    /** Version-map load-factor observability. */
-    u64 versionMapEntries() const { return versions_.size(); }
-    u64 versionMapSlots() const { return versions_.capacity(); }
 
     // --- compatibility names (copbench) ------------------------------
     // The content cache is gone; copbench still reads its counters.
@@ -134,7 +134,7 @@ class BlockContentPool
     u64 seed_;
     /** Cumulative mix distribution for category sampling. */
     std::array<double, kBlockCategories> cdf_{};
-    FlatMap<u32> versions_;
+    BlockTableRef blocks_;
     /** blockFor is logically const; its return slot and counter are not. */
     mutable CacheBlock scratch_;
     mutable u64 blockForCalls_ = 0;

@@ -4,7 +4,8 @@
  * against std::unordered_map/std::unordered_set: same operation
  * sequence, same observable contents. Exercises backward-shift deletion
  * under heavy collision chains, rehash growth, and non-trivial value
- * types (CacheBlock, std::vector). Direct cases pin the control-byte
+ * types (CacheBlock, std::vector), including a footprint-sized table
+ * through two rehashes. Direct cases pin the control-byte
  * layout: keys whose tags collide, erase across the array's wrap, and
  * slot placement against a plain linear-probing model.
  */
@@ -13,6 +14,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -109,6 +111,101 @@ TEST(FlatSet, RandomizedEquivalenceWithUnorderedSet)
     }
     for (const u64 key : ref)
         EXPECT_EQ(flat.count(key), 1u);
+}
+
+/** A key-dependent value of @p V (u64, or the stuck-bits map's type). */
+template <typename V>
+V
+valueFor(u64 x)
+{
+    if constexpr (std::is_same_v<V, u64>)
+        return x;
+    else
+        return V{static_cast<unsigned>(x), static_cast<unsigned>(x >> 7)};
+}
+
+/** Every entry of @p flat is in @p ref with the same value, and back. */
+template <typename V>
+void
+expectSameContents(const FlatMap<V> &flat,
+                   const std::unordered_map<u64, V> &ref)
+{
+    ASSERT_EQ(flat.size(), ref.size());
+    u64 iterated = 0;
+    for (const auto &[key, val] : flat) {
+        const auto rit = ref.find(key);
+        ASSERT_NE(rit, ref.end()) << key;
+        ASSERT_EQ(val, rit->second) << key;
+        ++iterated;
+    }
+    ASSERT_EQ(iterated, ref.size());
+    for (const auto &[key, val] : ref) {
+        const auto fit = flat.find(key);
+        ASSERT_NE(fit, flat.end()) << key;
+        ASSERT_EQ(fit->second, val) << key;
+    }
+}
+
+/**
+ * A footprint-sized table: reserved at 2^17 slots, then driven through
+ * inserts, updates and backward-shift erases of live keys until it has
+ * rehashed twice (2^17 -> 2^18 -> 2^19), checked against
+ * std::unordered_map at each growth and at the end. Moving the result
+ * must hand over every live entry.
+ */
+template <typename V>
+void
+largeTableMatchesUnorderedMap()
+{
+    FlatMap<V> flat;
+    flat.reserve(100000);
+    ASSERT_EQ(flat.capacity(), u64{1} << 17);
+    std::unordered_map<u64, V> ref;
+    std::vector<u64> inserted;
+    Rng rng(0x1A46E);
+    unsigned rehashes = 0;
+    while (rehashes < 2 || flat.size() < 240000) {
+        const u64 before = flat.capacity();
+        const u64 r = rng.below(10);
+        if (r < 7) {
+            const u64 key = rng.below(u64{1} << 22) * kBlockBytes;
+            const V val = valueFor<V>(rng.next());
+            const bool fresh = flat.emplace(key, val).second;
+            ASSERT_EQ(fresh, ref.emplace(key, val).second);
+            if (fresh)
+                inserted.push_back(key);
+        } else if (r < 9 && !inserted.empty()) {
+            const u64 key = inserted[rng.below(inserted.size())];
+            ASSERT_EQ(flat.erase(key), ref.erase(key));
+        } else if (!inserted.empty()) {
+            const u64 key = inserted[rng.below(inserted.size())];
+            const V val = valueFor<V>(rng.next());
+            flat[key] = val;
+            ref[key] = val;
+        }
+        if (flat.capacity() != before) {
+            ASSERT_EQ(flat.capacity(), before * 2);
+            ++rehashes;
+            expectSameContents(flat, ref);
+        }
+    }
+    EXPECT_EQ(rehashes, 2u);
+    EXPECT_EQ(flat.capacity(), u64{1} << 19);
+    expectSameContents(flat, ref);
+
+    FlatMap<V> moved = std::move(flat);
+    expectSameContents(moved, ref);
+    EXPECT_TRUE(flat.empty());
+}
+
+TEST(FlatMap, LargeTableOfTrivialValuesMatchesUnorderedMap)
+{
+    largeTableMatchesUnorderedMap<u64>();
+}
+
+TEST(FlatMap, LargeTableOfVectorValuesMatchesUnorderedMap)
+{
+    largeTableMatchesUnorderedMap<std::vector<unsigned>>();
 }
 
 TEST(FlatMap, BackwardShiftEraseKeepsDenseChainsIntact)

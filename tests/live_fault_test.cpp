@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cctype>
 #include <string>
+#include <vector>
 
 #include "mem/coper_controller.hpp"
 #include "mem/coper_naive_controller.hpp"
@@ -244,6 +246,86 @@ TEST_F(LiveFaultTest, UnprotectedFlipIsSilentCountedOnce)
     EXPECT_NE(again.data, pool.blockFor(addr));
     ctrl.noteSilentFill(addr, again.fillClass, 300);
     EXPECT_EQ(ctrl.errorLog().silent, 1u);
+}
+
+TEST_F(LiveFaultTest, AliasRejectRecoveryDropsOnlyTheImage)
+{
+    // Pool and controller share one block table, as inside a System.
+    BlockTable blocks;
+    pool.shareBlockTable(blocks);
+    bool truth_is_alias = false;
+    CacheBlock alias_block;
+    CopController ctrl(*dram, [&](Addr a) -> const CacheBlock & {
+        return truth_is_alias ? alias_block : pool.blockForRef(a);
+    });
+    ctrl.shareBlockTable(blocks);
+    ctrl.enableFaultInjection(RecoveryConfig{});
+    Rng rng(5);
+    std::array<u8, 60> payload{};
+    for (auto &b : payload)
+        b = static_cast<u8>(rng.next());
+    alias_block = ctrl.codec().protectPayload(payload);
+
+    const Addr addr = findAddr(ctrl, false);
+    pool.bumpVersion(addr);
+    ctrl.writeback(addr, pool.blockFor(addr), 500, false);
+    const u64 images = ctrl.imageBlockCount();
+
+    // The functional truth turns into an incompressible alias, and a
+    // DUE's recovery rewrite of it is rejected: the image goes, the
+    // block's history (version, write time) stays.
+    truth_is_alias = true;
+    EXPECT_TRUE(ctrl.injectFault(addr, {0, 1}, 600, false));
+    const MemReadResult due = ctrl.read(addr, 700);
+    EXPECT_TRUE(due.detectedUncorrectable);
+    EXPECT_EQ(ctrl.stats().aliasRejects, 1u);
+    EXPECT_EQ(ctrl.imageBlockCount(), images - 1);
+    EXPECT_EQ(ctrl.imageOf(addr), nullptr);
+    const auto rec = blocks.find(addr);
+    ASSERT_NE(rec, blocks.end());
+    EXPECT_EQ(rec->second.version, 1u);
+    EXPECT_EQ(rec->second.lastWrite, 500u);
+    EXPECT_EQ(pool.versionOf(addr), 1u);
+
+    // The next read re-runs first touch: the alias pins in the LLC.
+    const MemReadResult pinned = ctrl.read(addr, 800);
+    EXPECT_TRUE(pinned.aliasPinned);
+    EXPECT_EQ(ctrl.imageBlockCount(), images - 1);
+
+    // Once the truth is storable again, first touch re-creates the
+    // image from the surviving version.
+    truth_is_alias = false;
+    const MemReadResult fresh = ctrl.read(addr, 900);
+    EXPECT_FALSE(fresh.aliasPinned);
+    EXPECT_EQ(fresh.data, pool.blockFor(addr));
+    EXPECT_EQ(ctrl.imageBlockCount(), images);
+    EXPECT_EQ(blocks.find(addr)->second.lastWrite, 500u);
+}
+
+TEST_F(LiveFaultTest, VersionOnlyRecordsAreNotImages)
+{
+    BlockTable blocks;
+    pool.shareBlockTable(blocks);
+    UnprotectedController ctrl(*dram, source());
+    ctrl.shareBlockTable(blocks);
+    ctrl.enableFaultInjection(RecoveryConfig{});
+    const Addr filled = 2 * kBlockBytes;
+    const Addr stored_only = 5 * kBlockBytes;
+    ctrl.read(filled, 0);
+    pool.bumpVersion(stored_only); // a record with a version, no image
+    EXPECT_EQ(blocks.size(), 2u);
+    EXPECT_EQ(ctrl.imageBlockCount(), 1u);
+    EXPECT_EQ(ctrl.imageAddressesSorted(), std::vector<Addr>{filled});
+
+    // The scrubber and the injector see no image there.
+    ctrl.patrolScrub(stored_only, 100);
+    EXPECT_EQ(ctrl.errorLog().scrubbedBlocks, 0u);
+    EXPECT_FALSE(ctrl.injectFault(stored_only, {3}, 100, false));
+    EXPECT_EQ(ctrl.errorLog().coldFaults, 1u);
+    ctrl.patrolScrub(filled, 200);
+    EXPECT_EQ(ctrl.errorLog().scrubbedBlocks, 1u);
+    EXPECT_EQ(ctrl.imageBlockCount(), 1u);
+    EXPECT_EQ(ctrl.imageOf(stored_only), nullptr);
 }
 
 TEST_F(LiveFaultTest, SilentFillWithoutFaultStillPanics)
