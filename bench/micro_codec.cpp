@@ -2,7 +2,8 @@
  * @file
  * Codec throughput harness: blocks/sec for the full COP encode/decode
  * paths, countValidCodewords, each standalone compression scheme, and
- * Hsiao syndrome generation, over a deterministic 9-category block mix.
+ * Hsiao syndrome generation and encode, over a deterministic 9-category
+ * block mix.
  * Results print to stdout and land in bench/results/micro_codec.json
  * (directory overridable via COP_BENCH_RESULTS). BENCH_codec.json at
  * the repo root records the before/after numbers of the word-wise
@@ -93,7 +94,7 @@ measure(const char *name, size_t blocks_per_pass, double target_ms,
     } while (t1 - t0 < target_ms);
     const double bps = static_cast<double>(passes * blocks_per_pass) /
                        ((t1 - t0) / 1000.0);
-    std::printf("%-18s %12.0f blocks/s\n", name, bps);
+    std::printf("%-22s %12.0f blocks/s\n", name, bps);
     g_numbers.add(name, bps);
     return bps;
 }
@@ -189,6 +190,31 @@ run(bool quick)
         unsigned acc = 0;
         for (const auto &cw : wide)
             acc += code523.syndrome(cw);
+        return acc;
+    });
+
+    // SECDED encode in place (report-only: check_perf.py gates on no
+    // row below). Re-encoding a codeword rewrites the same check bits,
+    // so every pass does identical work.
+    std::vector<CacheBlock> words = mix;
+    measure("secded_encode128", n, target_ms, [&] {
+        unsigned acc = 0;
+        for (auto &b : words) {
+            for (unsigned s = 0; s < 4; ++s) {
+                const auto cw = b.bytes().subspan(s * 16, 16);
+                code128.encode(cw);
+                acc += cw[15];
+            }
+        }
+        return acc;
+    });
+    std::vector<std::array<u8, 66>> wide_words = wide;
+    measure("secded_encode_wide523", wide_words.size(), target_ms, [&] {
+        unsigned acc = 0;
+        for (auto &cw : wide_words) {
+            code523.encode(cw);
+            acc += cw[65];
+        }
         return acc;
     });
 

@@ -86,6 +86,37 @@ tableSyndrome(const std::vector<u32> &table, std::span<const u8> codeword,
     return s;
 }
 
+/**
+ * One-pass encode shared by HsiaoCode and HammingCode (derivation at
+ * HsiaoCode::encode): the check vector is the table syndrome of the k
+ * data bits alone, k/8 whole bytes plus the low k%8 bits of the next.
+ * The check field's old contents are never read, and bits at positions
+ * >= n are left as they are.
+ */
+void
+tableEncode(const std::vector<u32> &table, std::span<u8> codeword,
+            unsigned k, unsigned r)
+{
+    COP_ASSERT(codeword.size() >= (k + r + 7) / 8);
+    const unsigned whole = k / 8;
+    const unsigned off = k % 8;
+    u32 s = tableSyndrome(table, codeword, whole);
+    if (off != 0) {
+        const unsigned low = codeword[whole] & ((1u << off) - 1u);
+        s ^= table[static_cast<size_t>(whole) * 256 + low];
+    }
+    // The r <= 16 check bits start at bit off of byte `whole`, so they
+    // span at most three bytes: write them byte by byte, keeping the
+    // data bits below and the bits past n above.
+    const u32 mask = ((1u << r) - 1u) << off;
+    const u32 bits = s << off;
+    for (unsigned i = 0; (mask >> (8 * i)) != 0; ++i) {
+        const u8 m = static_cast<u8>(mask >> (8 * i));
+        u8 &byte = codeword[whole + i];
+        byte = static_cast<u8>((byte & ~m) | ((bits >> (8 * i)) & m));
+    }
+}
+
 } // namespace
 
 HsiaoCode::HsiaoCode(unsigned data_bits, unsigned check_bits)
@@ -107,14 +138,11 @@ HsiaoCode::HsiaoCode(unsigned data_bits, unsigned check_bits)
 void
 HsiaoCode::encode(std::span<u8> codeword) const
 {
-    COP_ASSERT(codeword.size() >= codeBytes());
-    // Zero the check-bit field, then the syndrome of the remaining data
-    // bits is exactly the check-bit vector (check columns are unit
-    // vectors, so setting check bits equal to the data syndrome zeroes
-    // the total syndrome).
-    setBits(codeword, k_, r_, 0);
-    const u32 s = syndrome(codeword);
-    setBits(codeword, k_, r_, s);
+    // Check bit i's column is the unit vector 1 << i, so a check vector
+    // c contributes exactly c to the syndrome. Setting c to the syndrome
+    // of the data bits alone therefore zeroes the total syndrome — one
+    // pass over the data bytes, no need to clear the check field first.
+    tableEncode(byteSyn_, codeword, k_, r_);
 }
 
 u32
@@ -162,9 +190,7 @@ HammingCode::HammingCode(unsigned data_bits, unsigned check_bits)
 void
 HammingCode::encode(std::span<u8> codeword) const
 {
-    setBits(codeword, k_, r_, 0);
-    const u32 s = syndrome(codeword);
-    setBits(codeword, k_, r_, s);
+    tableEncode(byteSyn_, codeword, k_, r_);
 }
 
 u32

@@ -271,8 +271,9 @@ System::registerAllStats()
             total += core.epochsDone;
         return total;
     });
-    // Functional-memory calls, summed over every core pool (idle
-    // pools contribute zero in shared-footprint mode), and the block
+    // Functional-memory blockFor calls, summed over every core pool
+    // (idle pools contribute zero in shared-footprint mode; a call that
+    // reuses the pool's scratch block still counts), and the block
     // table's load factor.
     statsRegistry_.gauge("pool.block_for_calls", [this] {
         u64 total = 0;

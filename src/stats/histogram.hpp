@@ -17,6 +17,7 @@
 #define COP_STATS_HISTOGRAM_HPP
 
 #include <array>
+#include <bit>
 
 #include "common/types.hpp"
 
@@ -122,9 +123,8 @@ class Histogram
     {
         if (value < kSubBuckets)
             return static_cast<unsigned>(value);
-        unsigned msb = 63;
-        while ((value >> msb) == 0)
-            --msb;
+        const unsigned msb =
+            static_cast<unsigned>(std::bit_width(value)) - 1;
         const unsigned sub =
             static_cast<unsigned>((value >> (msb - 4)) & 0xF);
         return (msb - 3) * kSubBuckets + sub;

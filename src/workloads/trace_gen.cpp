@@ -64,7 +64,16 @@ const CacheBlock &
 BlockContentPool::blockForRef(Addr block_addr) const
 {
     ++blockForCalls_;
-    scratch_ = generateAt(block_addr, versionOf(block_addr));
+    // The version is re-read on every call, so a store, setVersion or
+    // another pool's bump on a shared table changes the key and forces
+    // a regeneration; a repeat of the same pair (a first-touch fill and
+    // its oracle check) reuses the block generateAt already produced.
+    const u32 version = versionOf(block_addr);
+    if (block_addr != scratchAddr_ || version != scratchVersion_) {
+        scratch_ = generateAt(block_addr, version);
+        scratchAddr_ = block_addr;
+        scratchVersion_ = version;
+    }
     return scratch_;
 }
 

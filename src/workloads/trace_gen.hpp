@@ -54,7 +54,8 @@ class BlockContentPool
     /**
      * Current content of a block, without the copy. The reference
      * points into a scratch slot and is valid until the next
-     * blockFor/blockForRef call on this pool.
+     * blockFor/blockForRef call on this pool. A call that asks for the
+     * (address, version) the slot already holds returns it as is.
      */
     const CacheBlock &blockForRef(Addr block_addr) const;
 
@@ -117,8 +118,9 @@ class BlockContentPool
 
     // --- perf observability (pool.* gauges, results JSON) -------------
     /**
-     * Total blockFor invocations, each one a regeneration (hot-path
-     * dedup regression metric).
+     * Total blockFor invocations, including those served from the
+     * scratch slot without a regeneration (hot-path dedup regression
+     * metric).
      */
     u64 blockForCalls() const { return blockForCalls_; }
 
@@ -135,8 +137,15 @@ class BlockContentPool
     /** Cumulative mix distribution for category sampling. */
     std::array<double, kBlockCategories> cdf_{};
     BlockTableRef blocks_;
-    /** blockFor is logically const; its return slot and counter are not. */
+    /**
+     * blockFor is logically const; its return slot, the slot's key and
+     * the counter are not. scratch_ holds generateAt(scratchAddr_,
+     * scratchVersion_); ~Addr{0} is never a block address, so it marks
+     * the slot empty. Sound because generateAt is pure (DESIGN.md §5).
+     */
     mutable CacheBlock scratch_;
+    mutable Addr scratchAddr_ = ~Addr{0};
+    mutable u32 scratchVersion_ = 0;
     mutable u64 blockForCalls_ = 0;
     /** Fast-timing merge support (see enableBumpLog). */
     bool bumpLogEnabled_ = false;

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
 #include "sim/runner.hpp"
 #include "workloads/profile.hpp"
 
@@ -92,6 +93,40 @@ TEST(Histogram, BucketBoundsAreConsistent)
     }
     // Spot-check the top of the range doesn't overflow the table.
     EXPECT_LT(Histogram::indexOf(~u64{0}), Histogram::kBuckets);
+}
+
+/** The bucket index by a linear scan down from bit 63 — the reference. */
+unsigned
+linearIndexOf(u64 value)
+{
+    if (value < Histogram::kSubBuckets)
+        return static_cast<unsigned>(value);
+    unsigned msb = 63;
+    while ((value >> msb) == 0)
+        --msb;
+    const unsigned sub = static_cast<unsigned>((value >> (msb - 4)) & 0xF);
+    return (msb - 3) * Histogram::kSubBuckets + sub;
+}
+
+TEST(Histogram, IndexOfMatchesLinearMsbScan)
+{
+    const auto check = [](u64 v) {
+        const unsigned idx = Histogram::indexOf(v);
+        ASSERT_EQ(idx, linearIndexOf(v)) << "value " << v;
+        ASSERT_LE(Histogram::lowerBound(idx), v) << "value " << v;
+    };
+    for (unsigned k = 4; k <= 63; ++k) {
+        const u64 p = u64{1} << k;
+        check(p - 1);
+        check(p);
+        check(p + 1);
+    }
+    check(~u64{0});
+    // Random values over every magnitude: a random shift spreads the
+    // draws across all 64 octaves instead of piling them at the top.
+    Rng rng(2024);
+    for (int i = 0; i < 100000; ++i)
+        check(rng.next() >> rng.below(64));
 }
 
 TEST(StatsRegistry, DrainEmitsDeltasInRegistrationOrder)

@@ -11,6 +11,7 @@
 #include <array>
 #include <set>
 
+#include "common/rng.hpp"
 #include "compress/combined.hpp"
 #include "compress/fpc.hpp"
 #include "compress/msb.hpp"
@@ -226,6 +227,53 @@ TEST(ContentPool, VersionBumpChangesExactlyThatBlock)
     // The old version can never be served again.
     const CacheBlock a1 = pool.blockFor(a);
     EXPECT_EQ(pool.blockFor(a), a1);
+}
+
+TEST(ContentPool, RepeatedCallsServeCurrentVersion)
+{
+    // Interleave reads of two addresses with stores and forced versions:
+    // a repeat of the scratch slot's (address, version) may reuse it,
+    // but no call may ever return content of a stale version.
+    const auto &profile = WorkloadRegistry::byName("gcc");
+    BlockContentPool pool(profile, 3);
+    const std::array<Addr, 2> addrs = {5 * kBlockBytes, 9 * kBlockBytes};
+    Rng rng(77);
+    u64 calls = 0;
+    for (int step = 0; step < 4000; ++step) {
+        const Addr a = addrs[rng.below(2)];
+        const u64 op = rng.below(8);
+        if (op == 0) {
+            pool.bumpVersion(a);
+        } else if (op == 1) {
+            pool.setVersion(a, static_cast<u32>(rng.below(4)));
+        } else {
+            const CacheBlock &got = pool.blockForRef(a);
+            ++calls;
+            ASSERT_EQ(got, pool.generateAt(a, pool.versionOf(a)))
+                << "step " << step;
+        }
+        ASSERT_EQ(pool.blockForCalls(), calls);
+    }
+}
+
+TEST(ContentPool, SharedTableBumpIsSeenByEveryPool)
+{
+    // Two pools on one block table (a shared footprint): a store through
+    // one pool must change what the other serves for that address.
+    const auto &profile = WorkloadRegistry::byName("mcf");
+    BlockTable blocks;
+    BlockContentPool p0(profile, 0), p1(profile, 0);
+    p0.shareBlockTable(blocks);
+    p1.shareBlockTable(blocks);
+    const Addr a = 12 * kBlockBytes;
+    const CacheBlock v0 = p0.blockForRef(a);
+    p1.bumpVersion(a);
+    const CacheBlock v1 = p0.blockForRef(a);
+    EXPECT_EQ(v1, p0.generateAt(a, 1));
+    if (p0.categoryOf(a) != BlockCategory::Zero) {
+        EXPECT_NE(v1, v0);
+    }
+    EXPECT_EQ(p0.blockForCalls(), 2u);
 }
 
 TEST(ContentPool, CategoryDistributionTracksMix)
