@@ -42,14 +42,6 @@ paperConfig(ControllerKind kind)
     return cfg;
 }
 
-/** Run one benchmark under one scheme. */
-inline SystemResults
-runSystem(const WorkloadProfile &profile, ControllerKind kind)
-{
-    System sys(profile, paperConfig(kind));
-    return sys.run();
-}
-
 /** Print the Table 1 configuration block. */
 inline void
 printTable1()

@@ -8,11 +8,11 @@ run against a checked-in baseline at the repo root:
   codec   `micro_codec --quick`   vs BENCH_codec.json  ("after")
   system  `micro_system --quick`  vs BENCH_system.json ("after")
 
-The third is self-relative: `fig13_bandwidth --quick` records the best
-COP+BW speedup over protection-only COP across the bandwidth-bound
-profiles, and the gate requires it to stay above 1.0 — the shortened-
-burst mode must keep beating protection-only somewhere, or the mode
-has silently stopped shortening. The speedup is a ratio of simulated
+The third is self-relative: `figures --quick fig13_bandwidth` records
+the best COP+BW speedup over protection-only COP across the
+bandwidth-bound profiles, and the gate requires it to stay above 1.0 —
+the shortened-burst mode must keep beating protection-only somewhere,
+or the mode has silently stopped shortening. The speedup is a ratio of simulated
 IPCs (deterministic), so unlike the throughput gates it is immune to
 runner noise.
 
@@ -38,8 +38,8 @@ whole point of trading byte-identity away — is gated only when the
 recording host had >= 4 CPUs (on smaller hosts a wall speedup is
 physically impossible and the check is skipped loudly).
 
-A fourth gate is fully deterministic: `fault_campaign --quick` records
-the fraction of injected 2-flip raw events the on-die SEC filter
+A fourth gate is fully deterministic: `figures --quick fault_campaign`
+records the fraction of injected 2-flip raw events the on-die SEC filter
 miscorrects and the number of ECC-region slots the adaptive-capacity
 mode reclaims. Both are functions of seeded simulation state, so they
 are gated as exact bands rather than noise-tolerant floors: the
@@ -47,6 +47,13 @@ miscorrection fraction must sit in [0.02, 0.40] (outside it the filter
 is either inert or pathologically expanding patterns) and the
 reclaimed-slot count must be positive on the campaign's compressible
 profiles.
+
+Fresh results come from the perf-smoke job's runs:
+
+  ./build/bench/micro_codec --quick
+  ./build/bench/micro_system --quick
+  ./build/bench/micro_system --quick --threads 4
+  ./build/bench/figures --quick fig13_bandwidth fault_campaign
 
 Usage: scripts/check_perf.py
          [--codec-baseline BENCH_codec.json]

@@ -32,6 +32,8 @@ struct CacheConfig
     unsigned ways = 16;
     Cycle latency = 34;
 
+    bool operator==(const CacheConfig &) const = default;
+
     u64 sets() const { return sizeBytes / kBlockBytes / ways; }
 
     void

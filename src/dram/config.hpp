@@ -64,6 +64,8 @@ struct DramConfig
     Cycle tREFI = 24960; ///< 7.8 us at 3.2 GHz.
     Cycle tRFC = 1120;   ///< 350 ns at 3.2 GHz.
 
+    bool operator==(const DramConfig &) const = default;
+
     /** Total 64-byte blocks in the system. */
     u64 totalBlocks() const { return capacityBytes / kBlockBytes; }
     /** Blocks per row buffer. */

@@ -16,7 +16,7 @@
  * aliases must still be pinned in the LLC, unlike optimised COP-ER).
  *
  * This controller exists as the ablation point between the ECC-region
- * baseline and optimised COP-ER (bench/ablation_naive_coper).
+ * baseline and optimised COP-ER (`figures ablation_naive_coper`).
  */
 
 #ifndef COP_MEM_COPER_NAIVE_CONTROLLER_HPP

@@ -78,6 +78,8 @@ struct RecoveryConfig
     unsigned retirePageThreshold = 3;
     /** Retirement granularity. */
     u64 pageBytes = 4096;
+
+    bool operator==(const RecoveryConfig &) const = default;
 };
 
 /** Everything the recovery pipeline counted during a run. */

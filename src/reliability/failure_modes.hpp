@@ -7,7 +7,7 @@
  * per block". The paper argues qualitatively which modes SECDED/COP
  * can and cannot repair; this module makes the argument quantitative
  * by generating each mode's bit-flip pattern for Monte-Carlo injection
- * through the real decoders (bench/failure_mode_study).
+ * through the real decoders (`figures failure_mode_study`).
  */
 
 #ifndef COP_RELIABILITY_FAILURE_MODES_HPP

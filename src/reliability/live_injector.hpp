@@ -44,6 +44,8 @@ struct PlannedFault
     std::vector<unsigned> bits;
     /** Stuck-at fault: re-applied whenever the image is rewritten. */
     bool persistent = false;
+
+    bool operator==(const PlannedFault &) const = default;
 };
 
 /** Live fault-injection configuration (SystemConfig::fault). */
@@ -73,6 +75,8 @@ struct FaultConfig
     RecoveryConfig recovery;
     /** Scripted faults, applied in cycle order. */
     std::vector<PlannedFault> campaign;
+
+    bool operator==(const FaultConfig &) const = default;
 
     /**
      * Event rate implied by a raw FIT rate (failures per 10^9 device

@@ -30,13 +30,6 @@ parseRunnerOptions(int argc, char **argv)
         opts.jobs = static_cast<unsigned>(
             parsePositiveU64(env, "COP_BENCH_JOBS"));
     }
-    if (const char *env = std::getenv("COP_SIM_THREADS")) {
-        opts.simThreads =
-            static_cast<unsigned>(parseU64(env, "COP_SIM_THREADS"));
-    }
-    if (const char *env = std::getenv("COP_FAST_TIMING")) {
-        opts.fastTiming = std::string(env) != "0";
-    }
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--serial") {
@@ -46,20 +39,22 @@ parseRunnerOptions(int argc, char **argv)
                 COP_FATAL("--jobs needs a value");
             opts.jobs = static_cast<unsigned>(
                 parsePositiveU64(argv[++i], "--jobs"));
-        } else if (arg == "--sim-threads") {
-            if (i + 1 >= argc)
-                COP_FATAL("--sim-threads needs a value");
-            opts.simThreads = static_cast<unsigned>(
-                parseU64(argv[++i], "--sim-threads"));
-        } else if (arg == "--fast-timing") {
-            opts.fastTiming = true;
         }
     }
-    if (opts.simThreads != 1 && !opts.fastTiming)
-        COP_FATAL("--sim-threads / COP_SIM_THREADS needs --fast-timing: "
-                  "exact cells run serially (use --jobs for grid "
-                  "parallelism)");
     return opts;
+}
+
+bool
+sameCell(const WorkloadProfile &a, const SystemConfig &a_cfg,
+         const WorkloadProfile &b, const SystemConfig &b_cfg)
+{
+    const auto attached = [](const SystemConfig &cfg) {
+        return !cfg.traceStatsPath.empty() ||
+               static_cast<bool>(cfg.epochSource);
+    };
+    if (attached(a_cfg) || attached(b_cfg))
+        return false;
+    return a == b && static_cast<const SystemParams &>(a_cfg) == b_cfg;
 }
 
 void

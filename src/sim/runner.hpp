@@ -30,19 +30,6 @@ struct RunnerOptions
     unsigned jobs = 0;
     /** Run cells in submission order on the calling thread. */
     bool serial = false;
-    /**
-     * Per-cell SystemConfig::simThreads request (COP_SIM_THREADS /
-     * --sim-threads; 0 means hardware concurrency): the fast-timing
-     * shard budget, so any value but 1 needs fastTiming.
-     */
-    unsigned simThreads = 1;
-    /**
-     * Per-cell SystemConfig::fastTiming request (COP_FAST_TIMING /
-     * --fast-timing). Its shards multiply with grid-level parallelism,
-     * so consumers running cells under more than one grid worker must
-     * clamp it off — the GridRunner does, loudly.
-     */
-    bool fastTiming = false;
 
     /** The worker count actually used (resolves 0 and serial). */
     unsigned effectiveJobs() const;
@@ -52,15 +39,20 @@ struct RunnerOptions
  * Runner options from the environment and command line: COP_BENCH_JOBS
  * (positive integer) sets the worker count; `--serial` forces
  * single-threaded in-order execution; `--jobs N` overrides the
- * environment; COP_FAST_TIMING / `--fast-timing` request the
- * relaxed-consistency fast-timing mode (SystemConfig::fastTiming) for
- * every cell, and COP_SIM_THREADS / `--sim-threads N` set its per-cell
- * shard budget (0 = hardware concurrency). A thread budget other than
- * 1 without fast timing is fatal.
- * Unrecognised arguments are ignored (benches keep their own flags,
- * e.g. fig11's `--config`).
+ * environment. Unrecognised arguments are ignored (the figures driver
+ * keeps its own flags, e.g. `--config`).
  */
 RunnerOptions parseRunnerOptions(int argc, char **argv);
+
+/**
+ * Whether two grid cells are the same simulation and may share one
+ * run: equal profiles (the whole WorkloadProfile, not just its name)
+ * and equal SystemParams. A cell with a stats-trace sink or an epoch
+ * source never matches another, so every such cell still writes its
+ * own trace or reads its own stream.
+ */
+bool sameCell(const WorkloadProfile &a, const SystemConfig &a_cfg,
+              const WorkloadProfile &b, const SystemConfig &b_cfg);
 
 /**
  * Execute @p count independent jobs under @p opts. `job(i)` is called

@@ -38,8 +38,13 @@ enum class ControllerKind : u8 {
 
 const char *controllerKindName(ControllerKind k);
 
-/** Full-system configuration (defaults reproduce Table 1). */
-struct SystemConfig
+/**
+ * Every full-system setting except the two run attachments of
+ * SystemConfig, with a compiler-generated operator== so that two equal
+ * parameter sets can be recognised as the same simulation (sameCell in
+ * sim/runner.hpp) without a hand-kept field list.
+ */
+struct SystemParams
 {
     unsigned cores = 4;
     CacheConfig llc{4ULL << 20, 16, 34};
@@ -71,17 +76,6 @@ struct SystemConfig
     u64 seedSalt = 0;
     /** Live fault injection + error recovery (off by default). */
     FaultConfig fault;
-    /**
-     * JSONL stats-trace sink (observability layer). Empty (the
-     * default) disables tracing entirely; with tracing off a run's
-     * stdout tables and results JSON are byte-identical to a run of
-     * the same configuration that never had the field. When set, the
-     * System drains its StatsRegistry into this file: one snapshot of
-     * per-counter deltas and histogram summaries every
-     * traceStatsEpochInterval completed epochs plus a final one.
-     * Validate / tabulate with scripts/agg_stats.py.
-     */
-    std::string traceStatsPath;
     /** Completed epochs (across cores) between trace snapshots. */
     u64 traceStatsEpochInterval = 256;
     /**
@@ -145,6 +139,24 @@ struct SystemConfig
      * the default profiles.
      */
     u64 fastTimingQuantumEpochs = 64;
+
+    bool operator==(const SystemParams &) const = default;
+};
+
+/** Full-system configuration (defaults reproduce Table 1). */
+struct SystemConfig : SystemParams
+{
+    /**
+     * JSONL stats-trace sink (observability layer). Empty (the
+     * default) disables tracing entirely; with tracing off a run's
+     * stdout tables and results JSON are byte-identical to a run of
+     * the same configuration that never had the field. When set, the
+     * System drains its StatsRegistry into this file: one snapshot of
+     * per-counter deltas and histogram summaries every
+     * traceStatsEpochInterval completed epochs plus a final one.
+     * Validate / tabulate with scripts/agg_stats.py.
+     */
+    std::string traceStatsPath;
     /**
      * Per-core epoch source factory. Empty (the default) runs the
      * synthetic TraceGenerator; set it to replay captured traces

@@ -55,6 +55,8 @@ struct BlockGenParams
     unsigned pointerLowBits = 24;
     /** Random (incompressible) 32-bit words in a MixedWords block. */
     unsigned mixedRandomWords = 12;
+
+    bool operator==(const BlockGenParams &) const = default;
 };
 
 /**

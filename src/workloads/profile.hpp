@@ -33,6 +33,8 @@ struct BlockMix
 {
     std::array<double, kBlockCategories> weight{};
 
+    bool operator==(const BlockMix &) const = default;
+
     double &
     operator[](BlockCategory c)
     {
@@ -72,6 +74,8 @@ struct WorkloadProfile
     double streamFraction = 0.3;
     /** PARSEC-style shared footprint across cores (vs. rate mode). */
     bool sharedFootprint = false;
+
+    bool operator==(const WorkloadProfile &) const = default;
 
     /** Deterministic per-benchmark base seed. */
     u64 seed() const;

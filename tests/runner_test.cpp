@@ -2,7 +2,8 @@
  * @file
  * Tests for the experiment runner: index-keyed result ordering under
  * concurrency, serial/parallel determinism of a small system grid
- * (byte-identical JSON serialisation), option parsing, and the strict
+ * (byte-identical JSON serialisation), option parsing, the cell key
+ * that lets the figures driver run a shared cell once, and the strict
  * numeric-parse helper the runner and tools share.
  */
 
@@ -10,7 +11,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "common/parse.hpp"
 #include "sim/runner.hpp"
@@ -244,17 +247,127 @@ TEST(Runner, BadJobCountsAreFatal)
     ASSERT_EQ(unsetenv("COP_BENCH_JOBS"), 0);
 }
 
-TEST(Runner, SimThreadsWithoutFastTimingAreFatal)
+/** Table-1-like cell config for the cell-key tests. */
+SystemConfig
+keyConfig()
 {
-    ASSERT_EQ(unsetenv("COP_FAST_TIMING"), 0);
-    const char *argv[] = {"bench", "--sim-threads", "4"};
-    EXPECT_DEATH(parseRunnerOptions(3, const_cast<char **>(argv)),
-                 "needs --fast-timing");
-    const char *fast[] = {"bench", "--sim-threads", "4", "--fast-timing"};
-    const RunnerOptions opts =
-        parseRunnerOptions(4, const_cast<char **>(fast));
-    EXPECT_EQ(opts.simThreads, 4u);
-    EXPECT_TRUE(opts.fastTiming);
+    SystemConfig cfg;
+    cfg.kind = ControllerKind::CopEr;
+    cfg.epochsPerCore = 12000;
+    return cfg;
+}
+
+TEST(CellKey, SameConfigUnderTwoLabelsIsOneCell)
+{
+    // Labels live with the figure, not in the cell: fig12's COP-ER
+    // cell and fig11's "COP-ER" column are one simulation.
+    const WorkloadProfile &mcf = WorkloadRegistry::byName("mcf");
+    const WorkloadProfile copy = mcf;
+    EXPECT_TRUE(sameCell(mcf, keyConfig(), copy, keyConfig()));
+    EXPECT_FALSE(sameCell(mcf, keyConfig(),
+                          WorkloadRegistry::byName("lbm"), keyConfig()));
+}
+
+TEST(CellKey, EverySingleFieldChangeSplitsTheCell)
+{
+    using Edit = void (*)(SystemConfig &);
+    static const std::pair<const char *, Edit> edits[] = {
+        {"cores", [](SystemConfig &c) { c.cores = 2; }},
+        {"llc.sizeBytes", [](SystemConfig &c) { c.llc.sizeBytes /= 2; }},
+        {"llc.ways", [](SystemConfig &c) { c.llc.ways = 8; }},
+        {"llc.latency", [](SystemConfig &c) { c.llc.latency += 1; }},
+        {"dram.channels", [](SystemConfig &c) { c.dram.channels = 1; }},
+        {"dram.ranksPerChannel",
+         [](SystemConfig &c) { c.dram.ranksPerChannel = 1; }},
+        {"dram.banksPerRank",
+         [](SystemConfig &c) { c.dram.banksPerRank = 4; }},
+        {"dram.capacityBytes",
+         [](SystemConfig &c) { c.dram.capacityBytes /= 2; }},
+        {"dram.rowBytes", [](SystemConfig &c) { c.dram.rowBytes = 4096; }},
+        {"dram.rowPolicy",
+         [](SystemConfig &c) { c.dram.rowPolicy = RowPolicy::Closed; }},
+        {"dram.tRCD", [](SystemConfig &c) { c.dram.tRCD += 1; }},
+        {"dram.tCL", [](SystemConfig &c) { c.dram.tCL += 1; }},
+        {"dram.tCWL", [](SystemConfig &c) { c.dram.tCWL += 1; }},
+        {"dram.tRP", [](SystemConfig &c) { c.dram.tRP += 1; }},
+        {"dram.tRAS", [](SystemConfig &c) { c.dram.tRAS += 1; }},
+        {"dram.tBURST", [](SystemConfig &c) { c.dram.tBURST += 1; }},
+        {"dram.tWR", [](SystemConfig &c) { c.dram.tWR += 1; }},
+        {"dram.tRTP", [](SystemConfig &c) { c.dram.tRTP += 1; }},
+        {"dram.tRRD", [](SystemConfig &c) { c.dram.tRRD += 1; }},
+        {"dram.tFAW", [](SystemConfig &c) { c.dram.tFAW += 1; }},
+        {"dram.tCCD", [](SystemConfig &c) { c.dram.tCCD += 1; }},
+        {"dram.tWTR", [](SystemConfig &c) { c.dram.tWTR += 1; }},
+        {"dram.tRTW", [](SystemConfig &c) { c.dram.tRTW += 1; }},
+        {"dram.refreshEnabled",
+         [](SystemConfig &c) { c.dram.refreshEnabled = false; }},
+        {"dram.tREFI", [](SystemConfig &c) { c.dram.tREFI += 1; }},
+        {"dram.tRFC", [](SystemConfig &c) { c.dram.tRFC += 1; }},
+        {"kind", [](SystemConfig &c) { c.kind = ControllerKind::Cop4; }},
+        {"decodeLatency", [](SystemConfig &c) { c.decodeLatency = 8; }},
+        {"metaCacheBytes", [](SystemConfig &c) { c.metaCacheBytes /= 2; }},
+        {"epochsPerCore", [](SystemConfig &c) { c.epochsPerCore = 300; }},
+        {"verifyData", [](SystemConfig &c) { c.verifyData = false; }},
+        {"proactiveAliasCheck",
+         [](SystemConfig &c) { c.proactiveAliasCheck = true; }},
+        {"seedSalt", [](SystemConfig &c) { c.seedSalt = 1; }},
+        {"fault.enabled", [](SystemConfig &c) { c.fault.enabled = true; }},
+        {"fault.eventsPerMegacycle",
+         [](SystemConfig &c) { c.fault.eventsPerMegacycle = 800.0; }},
+        {"fault.flipsPerEvent",
+         [](SystemConfig &c) { c.fault.flipsPerEvent = 2; }},
+        {"fault.ondieEcc", [](SystemConfig &c) { c.fault.ondieEcc = true; }},
+        {"fault.seed", [](SystemConfig &c) { c.fault.seed += 1; }},
+        {"fault.scrubIntervalCycles",
+         [](SystemConfig &c) { c.fault.scrubIntervalCycles = 250000; }},
+        {"fault.recovery.maxReadRetries",
+         [](SystemConfig &c) { c.fault.recovery.maxReadRetries += 1; }},
+        {"fault.recovery.retirePageThreshold",
+         [](SystemConfig &c) { c.fault.recovery.retirePageThreshold += 1; }},
+        {"fault.recovery.pageBytes",
+         [](SystemConfig &c) { c.fault.recovery.pageBytes *= 2; }},
+        {"fault.campaign",
+         [](SystemConfig &c) { c.fault.campaign.push_back({}); }},
+        {"traceStatsEpochInterval",
+         [](SystemConfig &c) { c.traceStatsEpochInterval += 1; }},
+        {"bandwidthCompression",
+         [](SystemConfig &c) { c.bandwidthCompression = true; }},
+        {"bandwidthBeatFloor",
+         [](SystemConfig &c) { c.bandwidthBeatFloor = 8; }},
+        {"adaptiveEccCapacity",
+         [](SystemConfig &c) { c.adaptiveEccCapacity = true; }},
+        {"simThreads", [](SystemConfig &c) { c.simThreads = 2; }},
+        {"fastTiming", [](SystemConfig &c) { c.fastTiming = true; }},
+        {"fastTimingQuantumEpochs",
+         [](SystemConfig &c) { c.fastTimingQuantumEpochs += 1; }},
+    };
+    const WorkloadProfile &mcf = WorkloadRegistry::byName("mcf");
+    for (const auto &[field, edit] : edits) {
+        SystemConfig changed = keyConfig();
+        edit(changed);
+        EXPECT_FALSE(sameCell(mcf, keyConfig(), mcf, changed)) << field;
+    }
+
+    // fault_campaign shrinks the working set under the stock name.
+    WorkloadProfile shrunk = mcf;
+    shrunk.footprintBlocks = 1u << 13;
+    EXPECT_FALSE(sameCell(mcf, keyConfig(), shrunk, keyConfig()));
+}
+
+TEST(CellKey, TracedOrReplayedCellsNeverMerge)
+{
+    const WorkloadProfile &mcf = WorkloadRegistry::byName("mcf");
+    SystemConfig traced = keyConfig();
+    traced.traceStatsPath = "cell.jsonl";
+    EXPECT_FALSE(sameCell(mcf, traced, mcf, traced));
+    EXPECT_FALSE(sameCell(mcf, keyConfig(), mcf, traced));
+
+    SystemConfig replayed = keyConfig();
+    replayed.epochSource = [](unsigned) {
+        return std::unique_ptr<EpochSource>();
+    };
+    EXPECT_FALSE(sameCell(mcf, replayed, mcf, replayed));
+    EXPECT_FALSE(sameCell(mcf, replayed, mcf, keyConfig()));
 }
 
 TEST(Parse, AcceptsPlainDecimals)
