@@ -173,29 +173,45 @@ TEST_F(LiveFaultTest, EccDimmCheckBitStrikesAreCorrected)
 
 TEST_F(LiveFaultTest, EccRegionWideCodeCoversCheckSidecar)
 {
-    EccRegionController ctrl(*dram, source(), 64 << 10);
-    ctrl.enableFaultInjection(RecoveryConfig{});
+    // The same three strikes against the baseline's blocks and against a
+    // raw block of naive COP-ER, whose check bits sit in the same kind
+    // of offset-addressed (523,512) sidecar.
+    const auto strike = [this](MemoryController &ctrl, Addr addr) {
+        EXPECT_EQ(ctrl.storedBits(addr), kBlockBits + 11);
+
+        // Single data-bit flip: the (523,512) code corrects it.
+        EXPECT_TRUE(ctrl.injectFault(addr, {17}, 100, false));
+        const MemReadResult one = ctrl.read(addr, 200);
+        EXPECT_TRUE(one.correctedError);
+        EXPECT_EQ(one.data, pool.blockFor(addr));
+
+        // Single check-bit flip (bit 512): also corrected, data intact.
+        EXPECT_TRUE(ctrl.injectFault(addr, {512}, 300, false));
+        const MemReadResult chk = ctrl.read(addr, 400);
+        EXPECT_TRUE(chk.correctedError);
+        EXPECT_EQ(chk.data, pool.blockFor(addr));
+
+        // A double in the wide word: detected.
+        EXPECT_TRUE(ctrl.injectFault(addr, {40, 41}, 500, false));
+        const MemReadResult due = ctrl.read(addr, 600);
+        EXPECT_TRUE(due.detectedUncorrectable);
+        EXPECT_EQ(due.data, pool.blockFor(addr)); // recovered from truth
+    };
+
+    EccRegionController region(*dram, source(), 64 << 10);
+    region.enableFaultInjection(RecoveryConfig{});
     const Addr addr = 11 * kBlockBytes;
-    ctrl.read(addr, 0);
-    EXPECT_EQ(ctrl.storedBits(addr), kBlockBits + 11);
+    region.read(addr, 0);
+    strike(region, addr);
 
-    // Single data-bit flip: the (523,512) code corrects it.
-    EXPECT_TRUE(ctrl.injectFault(addr, {17}, 100, false));
-    const MemReadResult one = ctrl.read(addr, 200);
-    EXPECT_TRUE(one.correctedError);
-    EXPECT_EQ(one.data, pool.blockFor(addr));
-
-    // Single check-bit flip (bit 512): also corrected, data intact.
-    EXPECT_TRUE(ctrl.injectFault(addr, {512}, 300, false));
-    const MemReadResult chk = ctrl.read(addr, 400);
-    EXPECT_TRUE(chk.correctedError);
-    EXPECT_EQ(chk.data, pool.blockFor(addr));
-
-    // A double in the wide word: detected.
-    EXPECT_TRUE(ctrl.injectFault(addr, {40, 41}, 500, false));
-    const MemReadResult due = ctrl.read(addr, 600);
-    EXPECT_TRUE(due.detectedUncorrectable);
-    EXPECT_EQ(due.data, pool.blockFor(addr)); // recovered from truth
+    CopErNaiveController naive(*dram, source(), 4, 64 << 10);
+    naive.enableFaultInjection(RecoveryConfig{});
+    const Addr raw = findAddr(naive, true); // incompressible
+    strike(naive, raw);
+    EXPECT_EQ(naive.errorLog().of(VulnClass::CopErUncompressed).corrected,
+              2u);
+    EXPECT_EQ(naive.errorLog().of(VulnClass::CopErUncompressed).detected,
+              1u);
 }
 
 TEST_F(LiveFaultTest, CopErEntryStrikesCoverValidBit)

@@ -164,13 +164,61 @@ digestCases()
                          return r.errors.faultEvents > 0;
                      }});
 
-    SystemConfig bandwidth = shortConfig(ControllerKind::Cop4);
-    bandwidth.bandwidthCompression = true;
-    cases.push_back({"bandwidth COP", "lbm", bandwidth,
-                     0xa0428702c2107906ULL, [](const SystemResults &r) {
-                         return r.dram.beatsSaved > 0;
-                     }});
+    // Faults dense enough (one arrival per cycle) that every controller
+    // reads faulted images back through its decode path.
+    const struct
+    {
+        const char *name;
+        ControllerKind kind;
+        u64 expected;
+    } faulted[] = {
+        {"read-back faults ECC DIMM", ControllerKind::EccDimm,
+         0x5cd642e6c711dfd3ULL},
+        {"read-back faults ECC Reg.", ControllerKind::EccRegion,
+         0xe590a401d1fbc1e5ULL},
+        {"read-back faults COP", ControllerKind::Cop4,
+         0x2ce9660bd2a7215fULL},
+        {"read-back faults COP-ER", ControllerKind::CopEr,
+         0xe4dd2b90b0663055ULL},
+        {"read-back faults COP-ER-nv", ControllerKind::CopErNaive,
+         0x7786468f55efc130ULL},
+    };
+    for (const auto &f : faulted) {
+        SystemConfig dense = faults;
+        dense.kind = f.kind;
+        dense.fault.eventsPerMegacycle = 1e6;
+        cases.push_back({f.name, "gcc", dense, f.expected,
+                         [](const SystemResults &r) {
+                             const ErrorLog &e = r.errors;
+                             return e.corrected + e.detected + e.silent > 0;
+                         }});
+    }
 
+    // Bandwidth mode through every controller that runs the COP codec.
+    const struct
+    {
+        const char *name;
+        ControllerKind kind;
+        u64 expected;
+    } bandwidths[] = {
+        {"bandwidth COP", ControllerKind::Cop4, 0xa0428702c2107906ULL},
+        {"bandwidth COP-ER", ControllerKind::CopEr,
+         0x5ee8644b45f4ba58ULL},
+        {"bandwidth COP-ER-nv", ControllerKind::CopErNaive,
+         0x80a642b1ebfb746bULL},
+    };
+    for (const auto &b : bandwidths) {
+        SystemConfig bandwidth = shortConfig(b.kind);
+        bandwidth.bandwidthCompression = true;
+        cases.push_back({b.name, "lbm", bandwidth, b.expected,
+                         [](const SystemResults &r) {
+                             return r.dram.beatsSaved > 0;
+                         }});
+    }
+
+    // No stock profile drains a whole COP-ER entry block within a run
+    // this short (none does by 12,000 epochs either), so adaptive
+    // capacity is pinned through the ECC-region baseline only.
     SystemConfig adaptive = shortConfig(ControllerKind::EccRegion);
     adaptive.adaptiveEccCapacity = true;
     cases.push_back({"adaptive ECC Reg.", "lbm", adaptive,
