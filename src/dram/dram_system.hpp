@@ -129,13 +129,6 @@ class DramSystem
 
     const DramConfig &config() const { return cfg_; }
     const DramStats &stats() const { return stats_; }
-    void
-    resetStats()
-    {
-        stats_ = DramStats{};
-        for (auto &ch : channels_)
-            ch.busBusy = 0;
-    }
 
     /**
      * Register this DRAM system's counters and latency histograms into

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "ecc/secded.hpp"
+#include "mem/meta_cache.hpp"
 
 namespace cop {
 
@@ -59,6 +60,24 @@ MemoryController::dramWrite(Addr addr, Cycle now)
         break;
     }
     return dram_.access({addr, true, now, transferBeats(addr)}).complete;
+}
+
+Cycle
+MemoryController::metaFetch(MetaCache &meta, Addr meta_addr, Cycle now,
+                            bool dirty)
+{
+    const MetaCache::Access acc = meta.access(meta_addr, dirty);
+    if (acc.hit) {
+        ++stats_.metaCacheHits;
+        return now; // already on chip
+    }
+    ++stats_.metaCacheMisses;
+    if (acc.evictedDirty) {
+        ++stats_.metaWrites;
+        dramWrite(acc.evictedAddr, now);
+    }
+    ++stats_.metaReads;
+    return dramRead(meta_addr, now);
 }
 
 void
@@ -401,7 +420,10 @@ MemoryController::patrolScrub(Addr addr, Cycle now)
             fault_.faulted.insert(addr);
         }
     }
-    if (scrubResetsClock(r))
+    // The visit resets the block's vulnerability clock only when a code
+    // checked it, mirroring the analytic model: an unprotected block
+    // (no ECC, or a raw COP block) cannot be verified.
+    if (r.fillClass != VulnClass::Unprotected)
         noteWrite(addr, now);
     opMode_ = OpMode::Demand;
 }
@@ -526,19 +548,6 @@ EccDimmController::readImpl(Addr addr, Cycle now)
         result.data = img;
     }
     logVuln(VulnClass::EccDimm, addr, now);
-    return result;
-}
-
-MemWriteResult
-EccDimmController::writeback(Addr addr, const CacheBlock &data, Cycle now,
-                             bool was_uncompressed)
-{
-    (void)was_uncompressed;
-    MemWriteResult result;
-    result.complete = dramWrite(addr, now);
-    result.dramAccesses = 1;
-    setImage(addr, data);
-    noteWrite(addr, now);
     return result;
 }
 

@@ -1,19 +1,32 @@
 /**
  * @file
- * Memory-controller models. One abstract interface, five implementations
- * matching the paper's Figure 10/11 configurations:
+ * Memory-controller models. One abstract interface, six implementations
+ * matching the paper's Figure 10/11 configurations and its Section 3.3
+ * ablation:
  *
  *  - UnprotectedController — plain non-ECC DIMM (perf + reliability
  *    baseline "Unprot.");
  *  - EccDimmController — conventional (72,64) SECDED ECC DIMM
- *    (reliability reference for the 6x comparison in Section 4);
+ *    (reliability reference for the 6x comparison in Section 4); an
+ *    UnprotectedController that logs and decodes its check bits;
  *  - EccRegionController — the paper's "ECC Reg." baseline: a
  *    Virtualized-ECC-style contiguous region with a 2-byte entry per
- *    data block and a wide (523,512) code;
+ *    data block and a wide (523,512) code (ecc_region_controller.hpp);
  *  - CopController — COP proper (compress + inline ECC, alias
- *    rejection);
- *  - CopErController — COP-ER (COP plus the pointer-indexed ECC region
- *    for incompressible blocks). Lives in coper_controller.hpp.
+ *    rejection; cop_controller.hpp);
+ *  - CopErNaiveController — Section 3.3's naive COP-ER: a CopController
+ *    whose raw blocks find wide-code check bits at a fixed offset in a
+ *    full-size region (coper_naive_controller.hpp);
+ *  - CopErController — COP-ER: a CopController whose raw blocks point
+ *    to entries of a dynamically allocated ECC region
+ *    (coper_controller.hpp).
+ *
+ * Shared pieces live in one place each: this base holds the DRAM
+ * channel, the stored images, the metadata-cache fetch (metaFetch) and
+ * the recovery pipeline; CopController holds the codec, the first-touch
+ * encode and decode skip, and the write counters; WideCheckSidecar
+ * (ecc_region_controller.hpp) holds the (523,512) check bits of raw
+ * blocks under fault injection.
  *
  * Controllers are also the reliability observation point: every read
  * from DRAM logs (protection class, residency time) pairs that the
@@ -46,6 +59,8 @@
 #include "mem/vuln_log.hpp"
 
 namespace cop {
+
+class MetaCache;
 
 /** Result of a block read from main memory. */
 struct MemReadResult
@@ -190,7 +205,6 @@ class MemoryController
         bwMode_ = true;
         bwBeatFloor_ = beat_floor;
     }
-    bool bandwidthModeEnabled() const { return bwMode_; }
 
     /** Counters of the adaptive ECC-region capacity mode. */
     struct AdaptiveStats
@@ -330,23 +344,17 @@ class MemoryController
         (void)addr;
     }
 
-    /**
-     * Does a patrol-scrub visit reset this block's vulnerability
-     * clock? Mirrors the analytic model: scrubbing helps protected
-     * classes only (an unprotected block cannot be verified, and a
-     * raw COP block has no code to check).
-     */
-    virtual bool
-    scrubResetsClock(const MemReadResult &r) const
-    {
-        (void)r;
-        return true;
-    }
-
     /** Schedule a DRAM read of @p addr; bumps stats. */
     Cycle dramRead(Addr addr, Cycle now);
     /** Schedule a DRAM write of @p addr; bumps stats. */
     Cycle dramWrite(Addr addr, Cycle now);
+
+    /**
+     * Access the metadata block at @p meta_addr through @p meta: a hit
+     * is on chip at @p now; a miss writes back any dirty victim and
+     * reads the block from DRAM. Returns when the metadata is on chip.
+     */
+    Cycle metaFetch(MetaCache &meta, Addr meta_addr, Cycle now, bool dirty);
 
     /**
      * Record that the stored image of @p addr carries @p bits of
@@ -488,29 +496,21 @@ class UnprotectedController : public MemoryController
 
   protected:
     MemReadResult readImpl(Addr addr, Cycle now) override;
-
-    bool
-    scrubResetsClock(const MemReadResult &) const override
-    {
-        return false; // no code to check: scrubbing cannot help
-    }
 };
 
 /**
  * Conventional ECC DIMM: (72,64) SECDED on a 9th chip. Identical timing
- * to the unprotected case (check bits travel with the data); differs
- * only in the reliability class it logs. Under fault injection the
- * 64 check bits are modelled as a per-block sidecar so soft errors
- * can strike them too.
+ * to the unprotected case (check bits travel with the data), so it
+ * stores writebacks the same way; differs only in the reliability
+ * class it logs. Under fault injection the 64 check bits are modelled
+ * as a per-block sidecar so soft errors can strike them too.
  */
-class EccDimmController : public MemoryController
+class EccDimmController : public UnprotectedController
 {
   public:
-    using MemoryController::MemoryController;
+    using UnprotectedController::UnprotectedController;
 
     const char *name() const override { return "ECC DIMM"; }
-    MemWriteResult writeback(Addr addr, const CacheBlock &data, Cycle now,
-                             bool was_uncompressed) override;
 
     /** 8 x (72,64): 512 data bits + 64 check bits. */
     unsigned

@@ -32,7 +32,12 @@ copTransferBits(const CopEncodeResult &enc, const CopConfig &cfg)
     return kBlockBits;
 }
 
-/** COP memory controller. */
+/**
+ * COP memory controller, and the base of the two COP-ER variants: it
+ * owns the 4-byte (or 8-byte) codec, the encode counter, the decode
+ * latency and the write counters, and implements the fill steps all
+ * three share. Each variant adds only what it does with raw blocks.
+ */
 class CopController : public MemoryController
 {
   public:
@@ -65,14 +70,6 @@ class CopController : public MemoryController
   protected:
     MemReadResult readImpl(Addr addr, Cycle now) override;
 
-    bool
-    scrubResetsClock(const MemReadResult &r) const override
-    {
-        // Raw (incompressible) COP blocks carry no code: the scrubber
-        // can read them but cannot verify or repair anything.
-        return !r.wasUncompressed;
-    }
-
     VulnClass
     protectedClass() const
     {
@@ -88,6 +85,57 @@ class CopController : public MemoryController
             return encodes_->encode(codec_, data);
         return codec_.encode(data);
     }
+
+    /**
+     * The fill of @p addr as COP stores it: raw blocks hold their data
+     * verbatim and incompressible aliases are pinned in the LLC. On
+     * first touch the initial content is encoded and stored (see
+     * skipDecode); otherwise the stored image is read and decoded
+     * (decodeFill). A raw fill (result.wasUncompressed) returns
+     * unlogged, with result.complete the data read plus the decode
+     * latency, for the variant to finish.
+     */
+    void fill(Addr addr, Cycle now, MemReadResult &result);
+
+    /**
+     * Read the stored @p image of @p addr and decode it: complete
+     * (data read plus decode latency) and logged for a compressed
+     * block, whose check bits travel inline; unlogged for a raw one.
+     * Returns when the data read completes.
+     */
+    Cycle decodeFill(Addr addr, Cycle now, const CacheBlock &image,
+                     MemReadResult &result);
+
+    /**
+     * First-touch decode skip (DESIGN.md section 5). The image encoded
+     * from @p data was stored just now, so with fault injection off
+     * nothing can have corrupted it, and decoding it is the codec
+     * roundtrip identity (decode(encode(x)) == (x, clean flags)):
+     * serve the fill from @p data as decodeFill would and return true.
+     * With fault injection on, return false: decode for real.
+     */
+    bool skipDecode(Addr addr, Cycle now, const CacheBlock &data,
+                    const CopEncodeResult &enc, MemReadResult &result);
+
+    /** Count a stored writeback: protected (per scheme) or raw. */
+    void
+    countWrite(const CopEncodeResult &enc)
+    {
+        if (enc.status == EncodeStatus::Protected) {
+            ++stats_.protectedWrites;
+            ++stats_.schemeWrites[static_cast<unsigned>(enc.scheme)];
+        } else {
+            ++stats_.unprotectedWrites;
+        }
+    }
+
+    /**
+     * Write back @p enc as COP stores it: an incompressible alias is
+     * rejected (the LLC keeps the line, Section 3.1); anything else is
+     * counted and written in place.
+     */
+    MemWriteResult storeEncoded(Addr addr, const CopEncodeResult &enc,
+                                Cycle now);
 
     CopCodec codec_;
     Cycle decodeLatency_;

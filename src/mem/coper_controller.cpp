@@ -5,9 +5,9 @@ namespace cop {
 CopErController::CopErController(DramSystem &dram, ContentSource content,
                                  Cycle decode_latency,
                                  u64 meta_cache_bytes, EncodeCounter *encodes)
-    : MemoryController(dram, std::move(content)), encodes_(encodes),
-      codec_(CopConfig::fourByte()), coper_(codec_),
-      meta_(meta_cache_bytes), decodeLatency_(decode_latency)
+    : CopController(dram, std::move(content), CopConfig::fourByte(),
+                    decode_latency, encodes),
+      coper_(codec_), meta_(meta_cache_bytes)
 {
 }
 
@@ -42,24 +42,6 @@ CopErController::chargeTreeTouches(Cycle now)
                                              kBlockBytes,
                   now);
     }
-}
-
-Cycle
-CopErController::entryAccess(u32 entry_index, Cycle now, bool dirty)
-{
-    const Addr addr = entryBlockAddr(entry_index);
-    const MetaCache::Access acc = meta_.access(addr, dirty);
-    if (acc.hit) {
-        ++stats_.metaCacheHits;
-        return now;
-    }
-    ++stats_.metaCacheMisses;
-    if (acc.evictedDirty) {
-        ++stats_.metaWrites;
-        dramWrite(acc.evictedAddr, now);
-    }
-    ++stats_.metaReads;
-    return dramRead(addr, now);
 }
 
 u32
@@ -141,7 +123,7 @@ CopErController::storeIncompressible(Addr addr, const CacheBlock &data,
     entry.valid = true;
     entry.displaced = enc.displaced;
     entry.check = enc.check;
-    entryAccess(index, now, true);
+    metaFetch(meta_, entryBlockAddr(index), now, true);
     return enc.stored;
 }
 
@@ -186,6 +168,7 @@ CopErController::flipStoredBit(Addr addr, unsigned bit)
 MemReadResult
 CopErController::readImpl(Addr addr, Cycle now)
 {
+    MemReadResult result;
     // First touch: initial memory was stored through the same encoder.
     const CacheBlock *image = imageOf(addr);
     if (image == nullptr) {
@@ -197,54 +180,31 @@ CopErController::readImpl(Addr addr, Cycle now)
         noteTransferBits(addr, copTransferBits(enc, codec_.config()));
         if (enc.status == EncodeStatus::Protected) {
             image = &setImage(addr, enc.stored);
-            if (!faultInjectionEnabled()) {
-                // The image was created by the line above, so nothing
-                // can have corrupted it before this fill: decoding it
-                // is the codec roundtrip identity (decode(encode(x)) ==
-                // (x, clean flags)). Serve the fill from the content
-                // directly and skip the decode.
-                MemReadResult result;
-                result.complete = dramRead(addr, now) + decodeLatency_;
-                result.dramAccesses = 1;
-                result.data = data;
-                logVuln(VulnClass::CopProtected4, addr, now);
+            if (skipDecode(addr, now, data, enc, result))
                 return result;
-            }
         } else {
             image = &setImage(
                 addr, storeIncompressible(addr, data, now, false, 0));
         }
     }
 
-    MemReadResult result;
-    const CacheBlock &stored = *image;
-    const Cycle data_done = dramRead(addr, now);
-    result.dramAccesses = 1;
-
-    const CopDecodeResult dec = codec_.decode(stored);
-    if (dec.compressed) {
-        result.complete = data_done + decodeLatency_;
-        result.data = dec.data;
-        result.detectedUncorrectable = dec.detectedUncorrectable;
-        result.correctedError = dec.correctedWords > 0;
-        logVuln(VulnClass::CopProtected4, addr, now);
+    const Cycle data_done = decodeFill(addr, now, *image, result);
+    if (!result.wasUncompressed)
         return result;
-    }
 
     // Uncompressed: chase the embedded pointer to the ECC entry. The
     // entry fetch serialises behind the data (the pointer is in the
     // data), then the block is reconstructed and checked.
-    result.wasUncompressed = true;
+    const CacheBlock &stored = *image;
     const PointerDecodeResult ptr = coper_.extractPointer(stored);
     if (ptr.ecc.uncorrectable() || !region_.valid(ptr.entryIndex)) {
         // Pointer destroyed by a multi-bit error: detected, data lost.
-        result.complete = data_done + decodeLatency_;
-        result.data = dec.data;
         result.detectedUncorrectable = true;
         logVuln(VulnClass::CopErUncompressed, addr, now);
         return result;
     }
-    const Cycle meta_done = entryAccess(ptr.entryIndex, data_done, false);
+    const Cycle meta_done =
+        metaFetch(meta_, entryBlockAddr(ptr.entryIndex), data_done, false);
     ++result.dramAccesses;
     const CoperDecodeResult rec =
         coper_.reconstruct(stored, region_.entryAt(ptr.entryIndex));
@@ -287,9 +247,8 @@ CopErController::writeback(Addr addr, const CacheBlock &data, Cycle now,
     // before the data write below.
     noteTransferBits(addr, copTransferBits(enc, codec_.config()));
 
+    countWrite(enc);
     if (compressible) {
-        ++stats_.protectedWrites;
-        ++stats_.schemeWrites[static_cast<unsigned>(enc.scheme)];
         if (have_old) {
             // The block became compressible: invalidate its entry (a
             // read-modify-write of the entry block's valid bit).
@@ -297,11 +256,10 @@ CopErController::writeback(Addr addr, const CacheBlock &data, Cycle now,
             region_.free(old_index);
             chargeTreeTouches(now);
             maybeReleaseEntryBlock(old_index);
-            entryAccess(old_index, now, true);
+            metaFetch(meta_, entryBlockAddr(old_index), now, true);
         }
         setImage(addr, enc.stored);
     } else {
-        ++stats_.unprotectedWrites;
         setImage(addr, storeIncompressible(addr, data, now, have_old,
                                            old_index));
     }

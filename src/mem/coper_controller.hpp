@@ -12,7 +12,6 @@
 #ifndef COP_MEM_COPER_CONTROLLER_HPP
 #define COP_MEM_COPER_CONTROLLER_HPP
 
-
 #include "core/coper_codec.hpp"
 #include "core/ecc_region.hpp"
 #include "mem/cop_controller.hpp"
@@ -32,7 +31,7 @@ struct CopErStats
 };
 
 /** COP-ER memory controller (4-byte COP configuration). */
-class CopErController : public MemoryController
+class CopErController : public CopController
 {
   public:
     CopErController(DramSystem &dram, ContentSource content,
@@ -62,14 +61,6 @@ class CopErController : public MemoryController
         return false;
     }
 
-    void
-    enableBandwidthMode(unsigned beat_floor) override
-    {
-        MemoryController::enableBandwidthMode(beat_floor);
-        codec_.enableTransferSizing();
-    }
-
-    const CopCodec &codec() const { return codec_; }
     const EccRegion &region() const { return region_; }
     const CopErStats &erStats() const { return erStats_; }
 
@@ -139,9 +130,6 @@ class CopErController : public MemoryController
     /** Charge the valid-bit tree traffic of the last region op. */
     void chargeTreeTouches(Cycle now);
 
-    /** Access an entry block through the metadata cache. */
-    Cycle entryAccess(u32 entry_index, Cycle now, bool dirty);
-
     /**
      * Build the stored image for an incompressible block: allocate (or
      * reuse) an entry, de-aliasing by re-selection when needed, and
@@ -159,21 +147,9 @@ class CopErController : public MemoryController
     /** Adaptive mode: demote @p index's entry block if released. */
     void maybeReclaimEntryBlock(u32 index, Cycle now);
 
-    /** codec_.encode, counted when a counter is attached. */
-    CopEncodeResult
-    encodeBlock(const CacheBlock &data) const
-    {
-        if (encodes_ != nullptr)
-            return encodes_->encode(codec_, data);
-        return codec_.encode(data);
-    }
-
-    EncodeCounter *encodes_;
-    CopCodec codec_;
     CoperCodec coper_;
     EccRegion region_;
     MetaCache meta_;
-    Cycle decodeLatency_;
     CopErStats erStats_;
     u64 treeAddrSalt_ = 0;
     /** Records whose everIncompressible flag this controller set. */

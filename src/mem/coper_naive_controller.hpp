@@ -22,15 +22,14 @@
 #ifndef COP_MEM_COPER_NAIVE_CONTROLLER_HPP
 #define COP_MEM_COPER_NAIVE_CONTROLLER_HPP
 
-#include "core/codec.hpp"
-#include "core/encode_counter.hpp"
+#include "mem/cop_controller.hpp"
 #include "mem/ecc_region_controller.hpp"
 #include "mem/meta_cache.hpp"
 
 namespace cop {
 
 /** Naive COP-ER: COP compression + offset-addressed full ECC region. */
-class CopErNaiveController : public MemoryController
+class CopErNaiveController : public CopController
 {
   public:
     CopErNaiveController(DramSystem &dram, ContentSource content,
@@ -41,16 +40,6 @@ class CopErNaiveController : public MemoryController
     const char *name() const override { return "COP-ER (naive)"; }
     MemWriteResult writeback(Addr addr, const CacheBlock &data, Cycle now,
                              bool was_uncompressed) override;
-    bool wouldAliasReject(const CacheBlock &data) const override;
-
-    void
-    enableBandwidthMode(unsigned beat_floor) override
-    {
-        MemoryController::enableBandwidthMode(beat_floor);
-        codec_.enableTransferSizing();
-    }
-
-    const CopCodec &codec() const { return codec_; }
 
     /**
      * Compressible blocks store 512 bits in place; incompressible
@@ -68,29 +57,16 @@ class CopErNaiveController : public MemoryController
 
   protected:
     MemReadResult readImpl(Addr addr, Cycle now) override;
-    void flipStoredBit(Addr addr, unsigned bit) override;
+    void
+    flipStoredBit(Addr addr, unsigned bit) override
+    {
+        check_.flip(addr, imageOf(addr), bit);
+    }
     void imageWritten(Addr addr) override { check_.erase(addr); }
 
   private:
-    /** Access the offset-addressed ECC block for @p data_addr. */
-    Cycle metaAccess(Addr data_addr, Cycle now, bool dirty);
-    /** Lazily materialised wide-code check bits (raw blocks only). */
-    u16 &wideCheckOf(Addr addr);
-
-    /** codec_.encode, counted when a counter is attached. */
-    CopEncodeResult
-    encodeBlock(const CacheBlock &data) const
-    {
-        if (encodes_ != nullptr)
-            return encodes_->encode(codec_, data);
-        return codec_.encode(data);
-    }
-
-    EncodeCounter *encodes_;
-    CopCodec codec_;
     MetaCache meta_;
-    Cycle decodeLatency_;
-    FlatMap<u16> check_;
+    WideCheckSidecar check_;
 };
 
 } // namespace cop

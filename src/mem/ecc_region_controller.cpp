@@ -6,29 +6,43 @@
 
 namespace cop {
 
+u16 &
+WideCheckSidecar::of(Addr addr, const CacheBlock &image)
+{
+    auto it = check_.find(addr);
+    if (it == check_.end())
+        it = check_.emplace(addr, CoperCodec::wideCheck(image)).first;
+    return it->second;
+}
+
+void
+WideCheckSidecar::flip(Addr addr, CacheBlock *image, unsigned bit)
+{
+    COP_ASSERT(image != nullptr);
+    // Materialised before the flip lands, from the clean image.
+    u16 &check = of(addr, *image);
+    if (bit < kBlockBits) {
+        image->flipBit(bit);
+        return;
+    }
+    COP_ASSERT(bit < kBlockBits + 11);
+    check = static_cast<u16>(check ^ (1u << (bit - kBlockBits)));
+}
+
+void
+WideCheckSidecar::correct(Addr addr, MemReadResult &result)
+{
+    const EccResult ecc =
+        CoperCodec::wideDecode(result.data, of(addr, result.data));
+    result.correctedError = ecc.corrected();
+    result.detectedUncorrectable = ecc.uncorrectable();
+}
+
 EccRegionController::EccRegionController(DramSystem &dram,
                                          ContentSource content,
                                          u64 meta_cache_bytes)
     : MemoryController(dram, std::move(content)), meta_(meta_cache_bytes)
 {
-}
-
-Cycle
-EccRegionController::metaAccess(Addr data_addr, Cycle now, bool dirty)
-{
-    const Addr meta_addr = memlayout::eccRegionEntryAddr(data_addr);
-    const MetaCache::Access acc = meta_.access(meta_addr, dirty);
-    if (acc.hit) {
-        ++stats_.metaCacheHits;
-        return now; // already on chip
-    }
-    ++stats_.metaCacheMisses;
-    if (acc.evictedDirty) {
-        ++stats_.metaWrites;
-        dramWrite(acc.evictedAddr, now);
-    }
-    ++stats_.metaReads;
-    return dramRead(meta_addr, now);
 }
 
 void
@@ -89,32 +103,6 @@ EccRegionController::noteBlockContent(Addr addr, const CacheBlock &data,
     }
 }
 
-u16 &
-EccRegionController::wideCheck(Addr addr)
-{
-    auto it = check_.find(addr);
-    if (it == check_.end()) {
-        // Materialised before the first flip lands (flipStoredBit
-        // materialises first), so this reflects the clean image.
-        const CacheBlock *img = imageOf(addr);
-        COP_ASSERT(img != nullptr);
-        it = check_.emplace(addr, CoperCodec::wideCheck(*img)).first;
-    }
-    return it->second;
-}
-
-void
-EccRegionController::flipStoredBit(Addr addr, unsigned bit)
-{
-    u16 &check = wideCheck(addr);
-    if (bit < kBlockBits) {
-        MemoryController::flipStoredBit(addr, bit);
-        return;
-    }
-    COP_ASSERT(bit < kBlockBits + 11);
-    check = static_cast<u16>(check ^ (1u << (bit - kBlockBits)));
-}
-
 MemReadResult
 EccRegionController::readImpl(Addr addr, Cycle now)
 {
@@ -128,22 +116,16 @@ EccRegionController::readImpl(Addr addr, Cycle now)
     const Cycle data_done = dramRead(addr, now);
     // A released group's check bits travel inline with the (compressed)
     // data, so the fill needs no metadata access at all.
-    const Cycle meta_done = adaptiveMode_ && groupReleased(addr)
-                                ? now
-                                : metaAccess(addr, now, false);
+    const Cycle meta_done =
+        adaptiveMode_ && groupReleased(addr)
+            ? now
+            : metaFetch(meta_, memlayout::eccRegionEntryAddr(addr), now,
+                        false);
     result.complete = std::max(data_done, meta_done);
     result.dramAccesses = 1 + (meta_done > now ? 1 : 0);
-    const CacheBlock &img =
-        storedImage(addr);
-    if (isFaulted(addr)) {
-        CacheBlock data = img;
-        const EccResult ecc = CoperCodec::wideDecode(data, wideCheck(addr));
-        result.data = data;
-        result.correctedError = ecc.corrected();
-        result.detectedUncorrectable = ecc.uncorrectable();
-    } else {
-        result.data = img;
-    }
+    result.data = storedImage(addr);
+    if (isFaulted(addr))
+        check_.correct(addr, result);
     logVuln(VulnClass::WideCode, addr, now);
     return result;
 }
@@ -164,7 +146,7 @@ EccRegionController::writeback(Addr addr, const CacheBlock &data,
     // ECC block (read-modify-write; the fill is charged on a miss) —
     // unless the group is released, in which case they ship inline.
     if (!(adaptiveMode_ && groupReleased(addr)))
-        metaAccess(addr, now, true);
+        metaFetch(meta_, memlayout::eccRegionEntryAddr(addr), now, true);
     result.dramAccesses = 1;
     setImage(addr, data);
     noteWrite(addr, now);

@@ -38,6 +38,35 @@ eccRegionEntryAddr(Addr data_addr)
 } // namespace memlayout
 
 /**
+ * The 11 check bits of the wide (523,512) code over blocks stored as
+ * plain data, kept per block for fault injection as stored bits
+ * 512-522. Built lazily: a block's bits are computed from its image
+ * before the first flip lands, so they match the clean data; the
+ * owner drops them whenever the image is rewritten.
+ */
+class WideCheckSidecar
+{
+  public:
+    /** Flip stored bit @p bit (below kBlockBits + 11) of @p image. */
+    void flip(Addr addr, CacheBlock *image, unsigned bit);
+
+    /**
+     * Run the wide code over @p result.data (the stored block) against
+     * the check bits of @p addr, correcting it in place.
+     */
+    void correct(Addr addr, MemReadResult &result);
+
+    /** The image of @p addr was rewritten clean. */
+    void erase(Addr addr) { check_.erase(addr); }
+
+  private:
+    /** Check bits of @p addr, computed from @p image on first use. */
+    u16 &of(Addr addr, const CacheBlock &image);
+
+    FlatMap<u16> check_;
+};
+
+/**
  * The ECC-region ("Virtualized ECC"-like) baseline controller.
  *
  * The bandwidth-compression mode is inert here (as for the unprotected
@@ -54,8 +83,6 @@ class EccRegionController : public MemoryController
     const char *name() const override { return "ECC Reg."; }
     MemWriteResult writeback(Addr addr, const CacheBlock &data, Cycle now,
                              bool was_uncompressed) override;
-
-    const MetaCache &metaCache() const { return meta_; }
 
     /**
      * Adaptive capacity: an entry group (one region block, 32 entries
@@ -95,7 +122,11 @@ class EccRegionController : public MemoryController
 
   protected:
     MemReadResult readImpl(Addr addr, Cycle now) override;
-    void flipStoredBit(Addr addr, unsigned bit) override;
+    void
+    flipStoredBit(Addr addr, unsigned bit) override
+    {
+        check_.flip(addr, imageOf(addr), bit);
+    }
     void imageWritten(Addr addr) override { check_.erase(addr); }
 
   private:
@@ -107,15 +138,11 @@ class EccRegionController : public MemoryController
         bool released = false;  ///< Region block on the data free-list.
     };
 
-    /** Access an ECC metadata block; returns its completion cycle. */
-    Cycle metaAccess(Addr data_addr, Cycle now, bool dirty);
-    /** Lazily materialised (523,512) check bits for a block. */
-    u16 &wideCheck(Addr addr);
     /** Adaptive mode: reclassify @p data, promote/demote its group. */
     void noteBlockContent(Addr addr, const CacheBlock &data, Cycle now);
 
     MetaCache meta_;
-    FlatMap<u16> check_;
+    WideCheckSidecar check_;
     /** Compressibility probe (COP 4-byte config), adaptive mode only. */
     std::unique_ptr<CombinedCompressor> adaptComp_;
     FlatMap<u8> blockCompressible_; ///< Data addr -> last verdict.
