@@ -54,8 +54,8 @@ class BdiCompressor : public BlockCompressor
   private:
     struct Geometry
     {
-        unsigned base_bytes;
-        unsigned delta_bytes;
+        unsigned base_bytes = 0;
+        unsigned delta_bytes = 0;
     };
     static bool geometryOf(BdiEncoding e, Geometry &g);
     static bool fitsBaseDelta(const CacheBlock &block, const Geometry &g,

@@ -106,8 +106,9 @@ TEST(Combined, TxtBlockUsesTxtOnlyAt4Bytes)
     const CombinedCompressor c8(8);
     std::array<u8, 56> payload8{};
     const auto s8 = c8.compress(b, payload8);
-    if (s8.has_value())
+    if (s8.has_value()) {
         EXPECT_NE(*s8, SchemeId::Txt);
+    }
 }
 
 TEST(Combined, IncompressibleReturnsNullopt)

@@ -41,14 +41,16 @@ TEST_F(NaiveCoperTest, ReadYourWrites)
     Cycle now = 0;
     for (Addr addr = 0; addr < 400 * kBlockBytes; addr += kBlockBytes) {
         const MemReadResult r = ctrl->read(addr, now);
-        if (!r.aliasPinned)
+        if (!r.aliasPinned) {
             ASSERT_EQ(r.data, pool.blockFor(addr)) << addr;
+        }
         now = r.complete;
         pool.bumpVersion(addr);
         const CacheBlock updated = pool.blockFor(addr);
         const MemWriteResult w = ctrl->writeback(addr, updated, now, false);
-        if (!w.aliasRejected)
+        if (!w.aliasRejected) {
             ASSERT_EQ(ctrl->read(addr, now + 10).data, updated) << addr;
+        }
     }
 }
 

@@ -47,8 +47,9 @@ TEST(EccRegionStress, RandomAllocFreeInvariants)
         ASSERT_EQ(region.validEntries(), live.size());
         ASSERT_GE(region.highWaterEntries(), hw);
         hw = region.highWaterEntries();
-        if (!live.empty())
+        if (!live.empty()) {
             ASSERT_GE(hw, static_cast<u64>(*live.rbegin()) + 1);
+        }
     }
     EXPECT_EQ(region.stats().allocs - region.stats().frees, live.size());
 }

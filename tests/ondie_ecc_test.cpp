@@ -617,8 +617,9 @@ TEST(OndieEcc, AdaptiveSystemRunReclaimsWithoutSilentCorruption)
         // releases an entry block all 11 of whose entries drain, which
         // a steady incompressible set never does — its release path is
         // covered by the direct drain test above.
-        if (kind == ControllerKind::EccRegion)
+        if (kind == ControllerKind::EccRegion) {
             EXPECT_GT(r.adaptive.slotsReclaimed, 0u);
+        }
         EXPECT_EQ(r.errors.silent, 0u) << controllerKindName(kind);
         EXPECT_GT(r.errors.corrected, 0u);
         EXPECT_LE(r.adaptive.demotions, r.adaptive.slotsReclaimed);

@@ -89,8 +89,9 @@ TEST_P(LosslessProperty, CompressImpliesExactRoundTrip)
     // budget and above every scheme succeeds at least sometimes. (At
     // 446 bits TXT's fixed 448 and MSB5's fixed 477 cannot fit — the
     // reason the 8-byte configuration swaps in MSB10 and drops TXT.)
-    if (budget >= 478)
+    if (budget >= 478) {
         EXPECT_GT(successes, 0u);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -124,8 +125,9 @@ TEST_P(CodecProperty, EncodeDecodeClosesOverAllCategories)
         ASSERT_EQ(dec.validCodewords,
                   enc.isProtected() ? codec.config().codewords()
                                     : dec.validCodewords);
-        if (!enc.isProtected())
+        if (!enc.isProtected()) {
             ASSERT_LT(dec.validCodewords, codec.config().threshold);
+        }
     }
 }
 

@@ -87,8 +87,9 @@ TEST(Histogram, BucketBoundsAreConsistent)
         const u64 lo = Histogram::lowerBound(idx);
         EXPECT_LE(lo, v);
         EXPECT_GE(idx, prev_index);
-        if (v >= 16)
+        if (v >= 16) {
             EXPECT_LE(v - lo, v / 16);
+        }
         prev_index = idx;
     }
     // Spot-check the top of the range doesn't overflow the table.

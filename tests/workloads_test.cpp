@@ -206,8 +206,9 @@ TEST(ContentPool, VersionBumpChangesContentButNotCategory)
     const CacheBlock before = pool.blockFor(addr);
     pool.bumpVersion(addr);
     EXPECT_EQ(pool.categoryOf(addr), cat);
-    if (cat != BlockCategory::Zero)
+    if (cat != BlockCategory::Zero) {
         EXPECT_NE(pool.blockFor(addr), before);
+    }
     // And it is stable at the new version.
     EXPECT_EQ(pool.blockFor(addr), pool.blockFor(addr));
 }
