@@ -86,7 +86,7 @@ valueFor(u64 key)
 {
     BlockState b;
     b.version = static_cast<u32>(key >> 6);
-    b.hasImage = true;
+    b.stored = Stored::Image;
     b.image.setWord64(0, key);
     return b;
 }

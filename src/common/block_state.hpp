@@ -18,6 +18,27 @@
 
 namespace cop {
 
+/** What a block's record holds of its copy in DRAM. */
+enum class Stored : u8 {
+    /**
+     * Never stored, or dropped by an alias-reject recovery (which
+     * keeps the version and write time, so the next read re-runs first
+     * touch).
+     */
+    Nothing,
+    /** The stored bits are in BlockState::image. */
+    Image,
+    /**
+     * COP stored the block compressed and protected, and kept only
+     * that status: with fault injection off nothing can corrupt the
+     * image, so a fill needs only the status and the block's content
+     * (DESIGN.md section 5).
+     */
+    Protected,
+    /** As Protected, for a block COP stored raw. */
+    Raw,
+};
+
 /**
  * Per-block record: an 88-byte slot with its key, plus 1 control byte.
  * The small fields come first, so a version or write-time lookup reads
@@ -30,19 +51,15 @@ struct BlockState
     Cycle lastWrite = 0;
     /** Content version: stores to the block so far. */
     u32 version = 0;
-    /**
-     * The block has a stored image. Cleared, not erased, when an
-     * alias-reject recovery drops the image, so the version and write
-     * time survive and the next read re-runs first touch.
-     */
-    bool hasImage = false;
+    /** How the block is stored; see Stored. */
+    Stored stored = Stored::Nothing;
     /** Some fill of the block came back uncompressed (System). */
     bool everUncompressed = false;
     /** COP-ER stored the block through a region entry at least once. */
     bool everIncompressible = false;
     /** Bandwidth-mode burst length of the image; 0 means a full burst. */
     u8 beats = 0;
-    /** Stored DRAM image; meaningful only while hasImage is set. */
+    /** Stored DRAM image; meaningful only while stored is Image. */
     CacheBlock image;
 };
 

@@ -33,26 +33,63 @@ CombinedCompressor::schemeById(SchemeId id) const
     return nullptr;
 }
 
+const BlockCompressor *
+CombinedCompressor::pick(const CacheBlock &block, unsigned *trials) const
+{
+    // Each trial is an admission check on a digest computed once per
+    // block, so losing schemes cost a mask test rather than a scan.
+    const BlockDigest digest = computeDigest(block);
+    for (const auto *scheme : views_) {
+        if (trials != nullptr)
+            ++*trials;
+        if (scheme->canCompressDigest(digest, block, streamBudget()))
+            return scheme;
+    }
+    return nullptr;
+}
+
 std::optional<SchemeId>
 CombinedCompressor::compress(const CacheBlock &block,
                              std::span<u8> payload,
                              unsigned *trials) const
 {
     COP_ASSERT(payload.size() >= payloadBytes());
-    const BlockDigest digest = computeDigest(block);
-    for (const auto *scheme : views_) {
-        if (trials != nullptr)
-            ++*trials;
-        if (!scheme->canCompressDigest(digest, block, streamBudget()))
-            continue;
-        std::memset(payload.data(), 0, payloadBytes());
-        BitWriter writer(payload.first(payloadBytes()));
-        writer.write(static_cast<u64>(scheme->id()), kSchemeTagBits);
-        const bool ok = scheme->compress(block, streamBudget(), writer);
-        COP_ASSERT(ok);
-        return scheme->id();
+    const BlockCompressor *scheme = pick(block, trials);
+    if (scheme == nullptr)
+        return std::nullopt;
+    std::memset(payload.data(), 0, payloadBytes());
+    BitWriter writer(payload.first(payloadBytes()));
+    writer.write(static_cast<u64>(scheme->id()), kSchemeTagBits);
+    const bool ok = scheme->compress(block, streamBudget(), writer);
+    COP_ASSERT(ok);
+    return scheme->id();
+}
+
+BlockClass
+CombinedCompressor::classify(const CacheBlock &block, bool transfer_bits,
+                             unsigned *trials) const
+{
+    BlockClass out;
+    if (const BlockCompressor *scheme = pick(block, trials)) {
+        out.scheme = scheme->id();
+        if (transfer_bits)
+            out.minCompressedBits = minCompressedBits(block);
     }
-    return std::nullopt;
+    return out;
+}
+
+int
+CombinedCompressor::minCompressedBits(const CacheBlock &block) const
+{
+    int best = -1;
+    for (const BlockCompressor *s : views_) {
+        const int bits = s->compressedBits(block);
+        if (bits < 0 || static_cast<unsigned>(bits) > streamBudget())
+            continue;
+        if (best < 0 || bits < best)
+            best = bits;
+    }
+    return best;
 }
 
 CacheBlock
@@ -72,20 +109,6 @@ CombinedCompressor::decompress(std::span<const u8> payload) const
     }
     scheme->decompress(reader, streamBudget(), out);
     return out;
-}
-
-bool
-CombinedCompressor::compressible(const CacheBlock &block,
-                                 unsigned *trials) const
-{
-    const BlockDigest digest = computeDigest(block);
-    for (const auto *scheme : views_) {
-        if (trials != nullptr)
-            ++*trials;
-        if (scheme->canCompressDigest(digest, block, streamBudget()))
-            return true;
-    }
-    return false;
 }
 
 } // namespace cop

@@ -22,6 +22,18 @@
 
 namespace cop {
 
+/** What CombinedCompressor::classify decided about a block. */
+struct BlockClass
+{
+    /** The scheme compress() would pick, or nullopt if incompressible. */
+    std::optional<SchemeId> scheme;
+    /**
+     * minCompressedBits() of a compressible block when asked for, else
+     * -1.
+     */
+    int minCompressedBits = -1;
+};
+
 /**
  * Budget-driven multi-scheme compressor producing tagged payloads.
  *
@@ -63,9 +75,31 @@ class CombinedCompressor
     /** Reverse of compress(); @p payload must hold payloadBytes(). */
     CacheBlock decompress(std::span<const u8> payload) const;
 
+    /**
+     * compress() without the payload: the same admission checks in the
+     * same order (so the same @p trials count), and the scheme they
+     * pick. With @p transfer_bits, a compressible block also gets its
+     * minCompressedBits().
+     */
+    BlockClass classify(const CacheBlock &block, bool transfer_bits,
+                        unsigned *trials = nullptr) const;
+
     /** True iff any participating scheme fits the budget. */
-    bool compressible(const CacheBlock &block,
-                      unsigned *trials = nullptr) const;
+    bool
+    compressible(const CacheBlock &block, unsigned *trials = nullptr) const
+    {
+        return pick(block, trials) != nullptr;
+    }
+
+    /**
+     * Smallest in-budget compressedBits() of @p block over all
+     * participating schemes (excluding the tag), or -1 if none fits.
+     * This is the block's information content, which bandwidth mode
+     * sizes a transfer from: budget-driven schemes (RLE) pad their
+     * stream to the full budget, and tag order can pick a scheme with
+     * a larger minimal size than a losing one.
+     */
+    int minCompressedBits(const CacheBlock &block) const;
 
     /** Participating schemes, in tag order. */
     const std::vector<const BlockCompressor *> &schemes() const
@@ -75,6 +109,9 @@ class CombinedCompressor
 
   private:
     const BlockCompressor *schemeById(SchemeId id) const;
+    /** The first scheme, in tag order, that admits @p block. */
+    const BlockCompressor *pick(const CacheBlock &block,
+                                unsigned *trials) const;
 
     unsigned check_bytes_;
     unsigned payload_bits_;

@@ -60,39 +60,33 @@ CopCodec::encode(const CacheBlock &data) const
     const auto scheme = compressor_.compress(
         data, std::span<u8>(payload).first(compressor_.payloadBytes()),
         &result.schemeTrials);
-    if (scheme) {
-        result.status = EncodeStatus::Protected;
-        result.scheme = *scheme;
-        result.stored = protectPayload(
-            std::span<const u8>(payload).first(compressor_.payloadBytes()));
-        if (cfg_.computeTransferBits) {
-            // Transfer sizing wants the block's information content, not
-            // the emitted stream: budget-driven schemes (RLE) pad their
-            // stream to the full budget, and tag order can pick a scheme
-            // with a larger minimal size than a losing one. Take the
-            // minimum in-budget compressedBits() across all schemes.
-            const unsigned budget = compressor_.streamBudget();
-            int best = -1;
-            for (const BlockCompressor *s : compressor_.schemes()) {
-                const int bits = s->compressedBits(data);
-                if (bits < 0 || static_cast<unsigned>(bits) > budget)
-                    continue;
-                if (best < 0 || bits < best)
-                    best = bits;
-            }
-            result.minCompressedBits = best; // chosen scheme fits: >= 0
-        }
-        return result;
-    }
-
-    if (isAlias(data)) {
-        result.status = EncodeStatus::AliasRejected;
+    if (!scheme) {
+        result.status = rawStatus(data);
         result.stored = data;
         return result;
     }
+    result.status = EncodeStatus::Protected;
+    result.scheme = *scheme;
+    result.stored = protectPayload(
+        std::span<const u8>(payload).first(compressor_.payloadBytes()));
+    if (cfg_.computeTransferBits)
+        result.minCompressedBits = compressor_.minCompressedBits(data);
+    return result;
+}
 
-    result.status = EncodeStatus::Unprotected;
-    result.stored = data;
+CopEncodeResult
+CopCodec::classify(const CacheBlock &data) const
+{
+    CopEncodeResult result;
+    const BlockClass cls = compressor_.classify(
+        data, cfg_.computeTransferBits, &result.schemeTrials);
+    if (!cls.scheme) {
+        result.status = rawStatus(data);
+        return result;
+    }
+    result.status = EncodeStatus::Protected;
+    result.scheme = *cls.scheme;
+    result.minCompressedBits = cls.minCompressedBits;
     return result;
 }
 

@@ -38,7 +38,10 @@ enum class EncodeStatus : u8 {
 struct CopEncodeResult
 {
     EncodeStatus status = EncodeStatus::Unprotected;
-    /** Image to store in DRAM (meaningless for AliasRejected). */
+    /**
+     * Image to store in DRAM (meaningless for AliasRejected; left empty
+     * by CopCodec::classify).
+     */
     CacheBlock stored;
     /** Compression scheme used (valid when status == Protected). */
     SchemeId scheme = SchemeId::Msb;
@@ -101,6 +104,16 @@ class CopCodec
     CopEncodeResult encode(const CacheBlock &data) const;
 
     /**
+     * encode() without building the image: the same status, scheme,
+     * schemeTrials and minCompressedBits, with `stored` left empty.
+     * The decoder's compressed-or-raw answer is this status for every
+     * image encode() stores (the alias test rejects every raw block it
+     * would misread), so where nothing can corrupt memory a fill needs
+     * only the status and the block's content.
+     */
+    CopEncodeResult classify(const CacheBlock &data) const;
+
+    /**
      * Decode a block read from DRAM, per Figure 2: un-hash, count valid
      * code words, correct and decompress if the count clears the
      * threshold, otherwise return the raw bits unmodified.
@@ -134,6 +147,14 @@ class CopCodec
                         std::span<u8> payload) const;
 
   private:
+    /** Status of an incompressible block: raw, or a rejected alias. */
+    EncodeStatus
+    rawStatus(const CacheBlock &data) const
+    {
+        return isAlias(data) ? EncodeStatus::AliasRejected
+                             : EncodeStatus::Unprotected;
+    }
+
     /** XOR the static hash in or out (self-inverse). */
     void applyHash(CacheBlock &block) const;
 

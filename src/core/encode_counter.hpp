@@ -1,8 +1,10 @@
 /**
  * @file
  * EncodeCounter: the codec perf counters (encode calls and scheme
- * trials) of one System's COP-family controller. Every encode runs the
- * codec; the counter only observes, so it cannot change a result.
+ * trials) of one System's COP-family controller. A classify counts as
+ * an encode: it makes the same scheme trials, and the counters measure
+ * the encode requests a run makes, not the images it builds. The
+ * counter only observes, so it cannot change a result.
  */
 
 #ifndef COP_CORE_ENCODE_COUNTER_HPP
@@ -12,23 +14,37 @@
 
 namespace cop {
 
-/** Counts CopCodec::encode calls and the scheme trials they make. */
+/**
+ * Counts CopCodec::encode and classify calls and the scheme trials they
+ * make.
+ */
 class EncodeCounter
 {
   public:
     CopEncodeResult
     encode(const CopCodec &codec, const CacheBlock &data)
     {
-        ++calls_;
-        CopEncodeResult result = codec.encode(data);
-        schemeTrials_ += result.schemeTrials;
-        return result;
+        return count(codec.encode(data));
+    }
+
+    CopEncodeResult
+    classify(const CopCodec &codec, const CacheBlock &data)
+    {
+        return count(codec.classify(data));
     }
 
     u64 calls() const { return calls_; }
     u64 schemeTrials() const { return schemeTrials_; }
 
   private:
+    CopEncodeResult
+    count(CopEncodeResult result)
+    {
+        ++calls_;
+        schemeTrials_ += result.schemeTrials;
+        return result;
+    }
+
     u64 calls_ = 0;
     u64 schemeTrials_ = 0;
 };

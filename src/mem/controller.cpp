@@ -97,10 +97,9 @@ MemoryController::storedImage(Addr addr)
 {
     // The content source only reads the table, so `rec` stays valid.
     BlockState &rec = record(addr);
-    if (!rec.hasImage) {
+    if (rec.stored != Stored::Image) {
         rec.image = content_(addr);
-        rec.hasImage = true;
-        ++images_;
+        markStored(rec, Stored::Image);
         imageWritten(addr);
         if (fault_.enabled)
             applyStuckBits(addr);
@@ -113,8 +112,9 @@ MemoryController::imageOf(Addr addr) const
 {
     const BlockTable &table = *blocks_;
     const auto it = table.find(addr);
-    return it != table.end() && it->second.hasImage ? &it->second.image
-                                                    : nullptr;
+    return it != table.end() && it->second.stored == Stored::Image
+               ? &it->second.image
+               : nullptr;
 }
 
 CacheBlock *
@@ -127,10 +127,7 @@ const CacheBlock &
 MemoryController::setImage(Addr addr, const CacheBlock &stored)
 {
     BlockState &rec = record(addr);
-    if (!rec.hasImage) {
-        rec.hasImage = true;
-        ++images_;
-    }
+    markStored(rec, Stored::Image);
     rec.image = stored;
     imageWritten(addr);
     if (fault_.enabled) {
@@ -139,6 +136,17 @@ MemoryController::setImage(Addr addr, const CacheBlock &stored)
         applyStuckBits(addr);
     }
     return rec.image;
+}
+
+void
+MemoryController::setStored(Addr addr, Stored how, const CacheBlock &data)
+{
+    COP_ASSERT(!fault_.enabled);
+    COP_ASSERT(how == Stored::Protected || how == Stored::Raw);
+    BlockState &rec = record(addr);
+    markStored(rec, how);
+    rec.image = data;
+    storedWithoutImage_ = true;
 }
 
 void
@@ -193,6 +201,9 @@ MemoryController::registerStats(StatsRegistry &reg) const
 void
 MemoryController::enableFaultInjection(const RecoveryConfig &cfg)
 {
+    if (storedWithoutImage_)
+        COP_FATAL("fault injection must be enabled before the first "
+                  "store: blocks stored so far kept no image to strike");
     fault_.enabled = true;
     fault_.cfg = cfg;
     COP_ASSERT(fault_.cfg.pageBytes >= kBlockBytes);
@@ -285,7 +296,7 @@ MemoryController::imageAddressesSorted() const
     std::vector<Addr> out;
     out.reserve(images_);
     for (const auto &kv : *blocks_) {
-        if (kv.second.hasImage)
+        if (kv.second.stored == Stored::Image)
             out.push_back(kv.first);
     }
     std::sort(out.begin(), out.end());
@@ -382,8 +393,8 @@ MemoryController::recoveryWriteback(Addr addr, const CacheBlock &data,
         // transfer size belongs to the dropped image; the version and
         // write time are the block's history and stay.
         BlockState &rec = record(addr);
-        if (rec.hasImage) {
-            rec.hasImage = false;
+        if (rec.stored != Stored::Nothing) {
+            rec.stored = Stored::Nothing;
             --images_;
         }
         rec.beats = 0;

@@ -24,7 +24,8 @@
  * Shared pieces live in one place each: this base holds the DRAM
  * channel, the stored images, the metadata-cache fetch (metaFetch) and
  * the recovery pipeline; CopController holds the codec, the first-touch
- * encode and decode skip, and the write counters; WideCheckSidecar
+ * encode, the fill of a stored block (decoded, or served from its
+ * recorded status) and the write counters; WideCheckSidecar
  * (ecc_region_controller.hpp) holds the (523,512) check bits of raw
  * blocks under fault injection.
  *
@@ -40,8 +41,10 @@
  * read-retry and are then reloaded from the next level, and pages
  * that keep producing uncorrectable errors are retired. A patrol
  * scrubber (driven by reliability/live_injector) walks the stored
- * images through the same machinery. All of it is a no-op — and the
- * stored images are bit-identical — when injection is disabled.
+ * images through the same machinery. All of it is a no-op when
+ * injection is disabled, and then the COP-family controllers keep only
+ * each block's stored status and content, not its image (DESIGN.md
+ * section 5).
  */
 
 #ifndef COP_MEM_CONTROLLER_HPP
@@ -237,7 +240,11 @@ class MemoryController
     const VulnLog &vulnLog() const { return vuln_; }
     VulnLog &vulnLog() { return vuln_; }
 
-    /** Direct access to the stored DRAM image (fault injection). */
+    /**
+     * Direct access to the stored DRAM image (fault injection); null
+     * for a block that is not stored, or is stored without its image
+     * (Stored::Protected / Stored::Raw).
+     */
     CacheBlock *imageOf(Addr addr);
     const CacheBlock *imageOf(Addr addr) const;
     /**
@@ -245,7 +252,10 @@ class MemoryController
      * stored, stuck bits applied (valid until the next image insert).
      */
     const CacheBlock &setImage(Addr addr, const CacheBlock &stored);
-    /** Distinct blocks with a stored image (touched footprint). */
+    /**
+     * Distinct blocks stored in DRAM, with or without their image
+     * (touched footprint).
+     */
     u64 imageBlockCount() const { return images_; }
 
     /**
@@ -263,7 +273,11 @@ class MemoryController
 
     // --- fault injection and error recovery ----------------------------
 
-    /** Arm the recovery pipeline; must precede any injectFault call. */
+    /**
+     * Arm the recovery pipeline; must precede any injectFault call.
+     * Fatal once a block was stored without its image (setStored):
+     * there would be nothing to strike or decode.
+     */
     void enableFaultInjection(const RecoveryConfig &cfg);
     bool faultInjectionEnabled() const { return fault_.enabled; }
 
@@ -394,6 +408,30 @@ class MemoryController
      */
     const CacheBlock &storedImage(Addr addr);
 
+    /**
+     * Store a block without its image (fault injection off): the
+     * record keeps only how it is stored (@p how, Stored::Protected or
+     * Stored::Raw) and @p data, the content a decode of the image would
+     * return. Counts towards imageBlockCount().
+     */
+    void setStored(Addr addr, Stored how, const CacheBlock &data);
+
+    /** The block's record, or null if it has none. */
+    const BlockState *
+    findRecord(Addr addr) const
+    {
+        const auto it = blocks_->find(addr);
+        return it == blocks_->end() ? nullptr : &it->second;
+    }
+
+    /** How @p addr is stored. */
+    Stored
+    storedAs(Addr addr) const
+    {
+        const BlockState *rec = findRecord(addr);
+        return rec == nullptr ? Stored::Nothing : rec->stored;
+    }
+
     /** Record a read-from-DRAM reliability observation. */
     void logVuln(VulnClass cls, Addr addr, Cycle now);
     /** Record a write (resets the vulnerability clock). */
@@ -456,6 +494,15 @@ class MemoryController
         FlatMap<unsigned> pageDue;
     };
 
+    /** Mark @p rec stored as @p how, counting a newly stored block. */
+    void
+    markStored(BlockState &rec, Stored how)
+    {
+        if (rec.stored == Stored::Nothing)
+            ++images_;
+        rec.stored = how;
+    }
+
     Addr pageBase(Addr addr) const;
     /** Re-apply registered stuck bits after an image rewrite. */
     void applyStuckBits(Addr addr);
@@ -472,8 +519,10 @@ class MemoryController
      * transfers stay 8 beats).
      */
     BlockTableRef blocks_;
-    /** Records with hasImage set. */
+    /** Records whose block is stored (Stored other than Nothing). */
     u64 images_ = 0;
+    /** setStored has run: fault injection can no longer be enabled. */
+    bool storedWithoutImage_ = false;
     FaultState fault_;
     AdaptiveStats adaptive_;
     /** Class of the most recent readImpl fill (set by logVuln). */

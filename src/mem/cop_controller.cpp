@@ -13,61 +13,60 @@ CopController::CopController(DramSystem &dram, ContentSource content,
 void
 CopController::fill(Addr addr, Cycle now, MemReadResult &result)
 {
-    if (const CacheBlock *image = imageOf(addr)) {
-        decodeFill(addr, now, *image, result);
-        return;
+    if (storedAs(addr) == Stored::Nothing) {
+        // First touch: the block was written to DRAM before the trace
+        // window through the same encoder.
+        const CacheBlock &data = initialContent(addr);
+        const CopEncodeResult enc = encodeBlock(data);
+        if (enc.status == EncodeStatus::AliasRejected) {
+            // Incompressible alias: it can never have reached DRAM; it
+            // materialises pinned in the LLC (Section 3.1). Exceedingly
+            // rare — correctness machinery only.
+            result.aliasPinned = true;
+            result.data = data;
+            result.complete = dramRead(addr, now) + decodeLatency_;
+            result.dramAccesses = 1;
+            return;
+        }
+        noteTransferBits(addr, copTransferBits(enc, codec_.config()));
+        // Through setImage under fault injection: stuck bits apply.
+        keep(addr, data, enc);
     }
-    // First touch: the block was written to DRAM before the trace window
-    // through the same encoder.
-    const CacheBlock &data = initialContent(addr);
-    const CopEncodeResult enc = encodeBlock(data);
-    if (enc.status == EncodeStatus::AliasRejected) {
-        // Incompressible alias: it can never have reached DRAM; it
-        // materialises pinned in the LLC (Section 3.1). Exceedingly
-        // rare — correctness machinery only.
-        result.aliasPinned = true;
-        result.data = data;
-        result.complete = dramRead(addr, now) + decodeLatency_;
-        result.dramAccesses = 1;
-        return;
-    }
-    noteTransferBits(addr, copTransferBits(enc, codec_.config()));
-    // Through setImage: stuck bits apply.
-    const CacheBlock &image = setImage(addr, enc.stored);
-    if (!skipDecode(addr, now, data, enc, result))
-        decodeFill(addr, now, image, result);
+    readStored(addr, now, result);
 }
 
 Cycle
-CopController::decodeFill(Addr addr, Cycle now, const CacheBlock &image,
-                          MemReadResult &result)
+CopController::readStored(Addr addr, Cycle now, MemReadResult &result)
 {
+    // The data read inserts no record, so `rec` stays valid.
+    const BlockState &rec = *findRecord(addr);
     const Cycle data_done = dramRead(addr, now);
-    const CopDecodeResult dec = codec_.decode(image);
     result.complete = data_done + decodeLatency_;
     result.dramAccesses = 1;
-    result.data = dec.data;
-    result.wasUncompressed = !dec.compressed;
-    result.detectedUncorrectable = dec.detectedUncorrectable;
-    result.correctedError = dec.correctedWords > 0;
-    if (dec.compressed)
+    if (rec.stored == Stored::Image) {
+        const CopDecodeResult dec = codec_.decode(rec.image);
+        result.data = dec.data;
+        result.wasUncompressed = !dec.compressed;
+        result.detectedUncorrectable = dec.detectedUncorrectable;
+        result.correctedError = dec.correctedWords > 0;
+    } else {
+        result.data = rec.image;
+        result.wasUncompressed = rec.stored == Stored::Raw;
+    }
+    if (!result.wasUncompressed)
         logVuln(protectedClass(), addr, now);
     return data_done;
 }
 
 bool
-CopController::skipDecode(Addr addr, Cycle now, const CacheBlock &data,
-                          const CopEncodeResult &enc, MemReadResult &result)
+CopController::storedRaw(Addr addr) const
 {
-    if (faultInjectionEnabled())
+    const BlockState *rec = findRecord(addr);
+    if (rec == nullptr)
         return false;
-    result.complete = dramRead(addr, now) + decodeLatency_;
-    result.dramAccesses = 1;
-    result.data = data;
-    result.wasUncompressed = enc.status != EncodeStatus::Protected;
-    if (!result.wasUncompressed)
-        logVuln(protectedClass(), addr, now);
-    return true;
+    if (rec->stored == Stored::Image)
+        return !codec_.decode(rec->image).compressed;
+    return rec->stored == Stored::Raw;
 }
 
 MemReadResult
@@ -85,12 +84,12 @@ CopController::writeback(Addr addr, const CacheBlock &data, Cycle now,
                          bool was_uncompressed)
 {
     (void)was_uncompressed;
-    return storeEncoded(addr, encodeBlock(data), now);
+    return storeEncoded(addr, data, encodeBlock(data), now);
 }
 
 MemWriteResult
-CopController::storeEncoded(Addr addr, const CopEncodeResult &enc,
-                            Cycle now)
+CopController::storeEncoded(Addr addr, const CacheBlock &data,
+                            const CopEncodeResult &enc, Cycle now)
 {
     MemWriteResult result;
     if (enc.status == EncodeStatus::AliasRejected) {
@@ -102,7 +101,7 @@ CopController::storeEncoded(Addr addr, const CopEncodeResult &enc,
     noteTransferBits(addr, copTransferBits(enc, codec_.config()));
     result.complete = dramWrite(addr, now);
     result.dramAccesses = 1;
-    setImage(addr, enc.stored);
+    keep(addr, data, enc);
     noteWrite(addr, now);
     return result;
 }

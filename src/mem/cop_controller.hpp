@@ -77,45 +77,61 @@ class CopController : public MemoryController
                                                : VulnClass::CopProtected8;
     }
 
-    /** codec_.encode, counted when a counter is attached. */
+    /**
+     * The writeback encoder, counted when a counter is attached. With
+     * fault injection on it is codec_.encode, whose image is stored,
+     * struck and decoded. With it off it is codec_.classify: the same
+     * status, scheme and transfer size without the image, which keep()
+     * then stores as a status (DESIGN.md section 5).
+     */
     CopEncodeResult
     encodeBlock(const CacheBlock &data) const
     {
+        const bool image = faultInjectionEnabled();
         if (encodes_ != nullptr)
-            return encodes_->encode(codec_, data);
-        return codec_.encode(data);
+            return image ? encodes_->encode(codec_, data)
+                         : encodes_->classify(codec_, data);
+        return image ? codec_.encode(data) : codec_.classify(data);
+    }
+
+    /**
+     * Store @p data as encodeBlock encoded it into @p enc (not an
+     * alias): its image under fault injection, else its status.
+     */
+    void
+    keep(Addr addr, const CacheBlock &data, const CopEncodeResult &enc)
+    {
+        if (faultInjectionEnabled())
+            setImage(addr, enc.stored);
+        else
+            setStored(addr, enc.isProtected() ? Stored::Protected
+                                              : Stored::Raw,
+                      data);
     }
 
     /**
      * The fill of @p addr as COP stores it: raw blocks hold their data
      * verbatim and incompressible aliases are pinned in the LLC. On
-     * first touch the initial content is encoded and stored (see
-     * skipDecode); otherwise the stored image is read and decoded
-     * (decodeFill). A raw fill (result.wasUncompressed) returns
-     * unlogged, with result.complete the data read plus the decode
-     * latency, for the variant to finish.
+     * first touch the initial content is encoded and stored; then the
+     * stored block is read (readStored). A raw fill
+     * (result.wasUncompressed) returns unlogged, with result.complete
+     * the data read plus the decode latency, for the variant to finish.
      */
     void fill(Addr addr, Cycle now, MemReadResult &result);
 
     /**
-     * Read the stored @p image of @p addr and decode it: complete
-     * (data read plus decode latency) and logged for a compressed
-     * block, whose check bits travel inline; unlogged for a raw one.
-     * Returns when the data read completes.
+     * Read the stored block @p addr: complete (data read plus decode
+     * latency) and logged for a compressed block, whose check bits
+     * travel inline; unlogged for a raw one. A stored image is decoded.
+     * A block stored as a status returns what that decode would: the
+     * decoder's compressed-or-raw answer is the status the encoder
+     * chose, and decode(encode(x)) is x with clean flags. Returns when
+     * the data read completes.
      */
-    Cycle decodeFill(Addr addr, Cycle now, const CacheBlock &image,
-                     MemReadResult &result);
+    Cycle readStored(Addr addr, Cycle now, MemReadResult &result);
 
-    /**
-     * First-touch decode skip (DESIGN.md section 5). The image encoded
-     * from @p data was stored just now, so with fault injection off
-     * nothing can have corrupted it, and decoding it is the codec
-     * roundtrip identity (decode(encode(x)) == (x, clean flags)):
-     * serve the fill from @p data as decodeFill would and return true.
-     * With fault injection on, return false: decode for real.
-     */
-    bool skipDecode(Addr addr, Cycle now, const CacheBlock &data,
-                    const CopEncodeResult &enc, MemReadResult &result);
+    /** Is @p addr stored raw (a fault-free decode says uncompressed)? */
+    bool storedRaw(Addr addr) const;
 
     /** Count a stored writeback: protected (per scheme) or raw. */
     void
@@ -130,12 +146,12 @@ class CopController : public MemoryController
     }
 
     /**
-     * Write back @p enc as COP stores it: an incompressible alias is
-     * rejected (the LLC keeps the line, Section 3.1); anything else is
-     * counted and written in place.
+     * Write back @p data, encoded as @p enc, as COP stores it: an
+     * incompressible alias is rejected (the LLC keeps the line,
+     * Section 3.1); anything else is counted and written in place.
      */
-    MemWriteResult storeEncoded(Addr addr, const CopEncodeResult &enc,
-                                Cycle now);
+    MemWriteResult storeEncoded(Addr addr, const CacheBlock &data,
+                                const CopEncodeResult &enc, Cycle now);
 
     CopCodec codec_;
     Cycle decodeLatency_;

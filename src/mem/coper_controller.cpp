@@ -130,13 +130,9 @@ CopErController::storeIncompressible(Addr addr, const CacheBlock &data,
 unsigned
 CopErController::storedBits(Addr addr) const
 {
-    const CacheBlock *img = imageOf(addr);
-    if (img == nullptr)
-        return kBlockBits;
     // 512 in-place bits, plus the ECC-region entry for incompressible
     // blocks (34 displaced + 11 check + 1 valid = 46).
-    return codec_.decode(*img).compressed ? kBlockBits
-                                          : kBlockBits + 46;
+    return storedRaw(addr) ? kBlockBits + 46 : kBlockBits;
 }
 
 void
@@ -169,33 +165,30 @@ MemReadResult
 CopErController::readImpl(Addr addr, Cycle now)
 {
     MemReadResult result;
-    // First touch: initial memory was stored through the same encoder.
-    const CacheBlock *image = imageOf(addr);
-    if (image == nullptr) {
+    if (storedAs(addr) == Stored::Nothing) {
+        // First touch: initial memory was stored through the same
+        // encoder.
         const CacheBlock &data = initialContent(addr);
         const CopEncodeResult enc = encodeBlock(data);
         // Incompressible blocks ship raw (pointer in place of check
         // bits): copTransferBits yields a full block and clears any
         // stale shortening for the address.
         noteTransferBits(addr, copTransferBits(enc, codec_.config()));
-        if (enc.status == EncodeStatus::Protected) {
-            image = &setImage(addr, enc.stored);
-            if (skipDecode(addr, now, data, enc, result))
-                return result;
-        } else {
-            image = &setImage(
-                addr, storeIncompressible(addr, data, now, false, 0));
-        }
+        if (enc.status == EncodeStatus::Protected)
+            keep(addr, data, enc);
+        else
+            setImage(addr, storeIncompressible(addr, data, now, false, 0));
     }
 
-    const Cycle data_done = decodeFill(addr, now, *image, result);
+    const Cycle data_done = readStored(addr, now, result);
     if (!result.wasUncompressed)
         return result;
 
     // Uncompressed: chase the embedded pointer to the ECC entry. The
     // entry fetch serialises behind the data (the pointer is in the
-    // data), then the block is reconstructed and checked.
-    const CacheBlock &stored = *image;
+    // data), then the block is reconstructed and checked. Raw blocks
+    // always keep their image, because it holds the pointer.
+    const CacheBlock &stored = *imageOf(addr);
     const PointerDecodeResult ptr = coper_.extractPointer(stored);
     if (ptr.ecc.uncorrectable() || !region_.valid(ptr.entryIndex)) {
         // Pointer destroyed by a multi-bit error: detected, data lost.
@@ -229,6 +222,9 @@ CopErController::writeback(Addr addr, const CacheBlock &data, Cycle now,
     u32 old_index = 0;
     bool have_old = false;
     if (was_uncompressed) {
+        // The line was filled raw and this is its only writeback, so the
+        // block is still stored raw, with its image.
+        COP_ASSERT(storedAs(addr) != Stored::Protected);
         if (const CacheBlock *old = imageOf(addr)) {
             ++erStats_.pointerReads;
             dramRead(addr, now);
@@ -258,7 +254,7 @@ CopErController::writeback(Addr addr, const CacheBlock &data, Cycle now,
             maybeReleaseEntryBlock(old_index);
             metaFetch(meta_, entryBlockAddr(old_index), now, true);
         }
-        setImage(addr, enc.stored);
+        keep(addr, data, enc);
     } else {
         setImage(addr, storeIncompressible(addr, data, now, have_old,
                                            old_index));

@@ -18,11 +18,7 @@ CopErNaiveController::CopErNaiveController(DramSystem &dram,
 unsigned
 CopErNaiveController::storedBits(Addr addr) const
 {
-    const CacheBlock *img = imageOf(addr);
-    if (img == nullptr)
-        return kBlockBits;
-    return codec_.decode(*img).compressed ? kBlockBits
-                                          : kBlockBits + 11;
+    return storedRaw(addr) ? kBlockBits + 11 : kBlockBits;
 }
 
 MemReadResult
@@ -64,7 +60,7 @@ CopErNaiveController::writeback(Addr addr, const CacheBlock &data,
     // A raw block updates its entry in the always-reserved region.
     if (enc.status == EncodeStatus::Unprotected)
         metaFetch(meta_, memlayout::eccRegionEntryAddr(addr), now, true);
-    return storeEncoded(addr, enc, now);
+    return storeEncoded(addr, data, enc, now);
 }
 
 } // namespace cop
