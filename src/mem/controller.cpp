@@ -110,11 +110,9 @@ MemoryController::storedImage(Addr addr)
 const CacheBlock *
 MemoryController::imageOf(Addr addr) const
 {
-    const BlockTable &table = *blocks_;
-    const auto it = table.find(addr);
-    return it != table.end() && it->second.stored == Stored::Image
-               ? &it->second.image
-               : nullptr;
+    const BlockState *rec = findRecord(addr);
+    return rec != nullptr && rec->stored == Stored::Image ? &rec->image
+                                                          : nullptr;
 }
 
 CacheBlock *
@@ -155,9 +153,8 @@ MemoryController::logVuln(VulnClass cls, Addr addr, Cycle now)
     lastFillClass_ = cls;
     if (opMode_ != OpMode::Demand)
         return; // retries/scrub re-decode; not a new exposure
-    Cycle since = 0;
-    if (const auto it = blocks_->find(addr); it != blocks_->end())
-        since = it->second.lastWrite;
+    const BlockState *rec = findRecord(addr);
+    const Cycle since = rec != nullptr ? rec->lastWrite : 0;
     vuln_.record(cls, now >= since ? now - since : 0);
 }
 

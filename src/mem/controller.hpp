@@ -386,10 +386,8 @@ class MemoryController
     {
         if (!bwMode_)
             return 8;
-        const auto it = blocks_->find(addr);
-        return it == blocks_->end() || it->second.beats == 0
-                   ? 8
-                   : it->second.beats;
+        const BlockState *rec = findRecord(addr);
+        return rec == nullptr || rec->beats == 0 ? 8 : rec->beats;
     }
 
     /**

@@ -12,8 +12,8 @@
  *
  * Both are checked here over sampled blocks of every content category
  * of every stock profile, plus constructed aliases, under every
- * CopConfig. The System oracle no longer sees the codec in fault-free
- * runs, so this is the codec coverage it lost.
+ * CopConfig. The System oracle does not see the codec in fault-free
+ * runs, so these checks carry that coverage.
  */
 
 #include <gtest/gtest.h>
