@@ -97,9 +97,11 @@ MemoryController::storedImage(Addr addr)
 {
     // The content source only reads the table, so `rec` stays valid.
     BlockState &rec = record(addr);
-    if (rec.stored != Stored::Image) {
+    // Store-verbatim controllers only ever store images.
+    if (rec.stored == Stored::Nothing) {
         rec.image = content_(addr);
-        markStored(rec, Stored::Image);
+        rec.stored = Stored::Image;
+        ++images_;
         imageWritten(addr);
         if (fault_.enabled)
             applyStuckBits(addr);
@@ -153,8 +155,9 @@ MemoryController::logVuln(VulnClass cls, Addr addr, Cycle now)
     lastFillClass_ = cls;
     if (opMode_ != OpMode::Demand)
         return; // retries/scrub re-decode; not a new exposure
-    const BlockState *rec = findRecord(addr);
-    const Cycle since = rec != nullptr ? rec->lastWrite : 0;
+    Cycle since = 0;
+    if (const auto it = blocks_->find(addr); it != blocks_->end())
+        since = it->second.lastWrite;
     vuln_.record(cls, now >= since ? now - since : 0);
 }
 
