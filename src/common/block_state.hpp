@@ -29,10 +29,10 @@ enum class Stored : u8 {
     /** The stored bits are in BlockState::image. */
     Image,
     /**
-     * COP stored the block compressed and protected, and kept only
-     * that status: with fault injection off nothing can corrupt the
-     * image, so a fill needs only the status and the block's content
-     * (DESIGN.md section 5).
+     * COP stored the block compressed and protected, and the record
+     * keeps that status and the block's content instead of the image:
+     * with fault injection off nothing can corrupt the image, so a
+     * fill needs only those two (DESIGN.md section 5).
      */
     Protected,
     /** As Protected, for a block COP stored raw. */
@@ -59,7 +59,10 @@ struct BlockState
     bool everIncompressible = false;
     /** Bandwidth-mode burst length of the image; 0 means a full burst. */
     u8 beats = 0;
-    /** Stored DRAM image; meaningful only while stored is Image. */
+    /**
+     * The stored DRAM image while stored is Image; the block's content
+     * as stored while stored is Protected or Raw.
+     */
     CacheBlock image;
 };
 
