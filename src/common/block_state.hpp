@@ -3,11 +3,11 @@
  * BlockState: everything the simulator keeps per data block, in one
  * record of one table. A System owns one BlockTable and hands it to
  * every core's BlockContentPool (content versions) and to its memory
- * controller (stored images, write times, transfer sizes), so an L3
- * fill, its oracle check and a dirty victim's writeback each touch one
- * record instead of probing a separate table per layer. A pool or
- * controller used on its own keeps a private table through the same
- * BlockTableRef.
+ * controller (how and at which version each block is stored, write
+ * times, transfer sizes), so an L3 fill, its oracle check and a dirty
+ * victim's writeback each touch one record instead of probing a
+ * separate table per layer. A pool or controller used on its own keeps
+ * a private table through the same BlockTableRef.
  */
 
 #ifndef COP_COMMON_BLOCK_STATE_HPP
@@ -26,24 +26,27 @@ enum class Stored : u8 {
      * touch).
      */
     Nothing,
-    /** The stored bits are in BlockState::image. */
+    /**
+     * The stored bits are in the controller's image side table (fault
+     * injection only: MemoryController::imageOf).
+     */
     Image,
     /**
-     * COP stored the block compressed and protected, and the record
-     * keeps that status and the block's content instead of the image:
-     * with fault injection off nothing can corrupt the image, so a
-     * fill needs only those two (DESIGN.md section 5).
+     * Stored compressed and protected (COP family), with fault
+     * injection off: nothing can corrupt the copy, so it is a function
+     * of the address and storedVersion and the record keeps no bits of
+     * it (DESIGN.md section 5).
      */
     Protected,
-    /** As Protected, for a block COP stored raw. */
+    /** As Protected, for a block stored as plain data (raw). */
     Raw,
 };
 
 /**
- * Per-block record: an 88-byte slot with its key, plus 1 control byte.
- * The small fields come first, so a version or write-time lookup reads
- * the cache line that holds the key, and only a fill or a writeback
- * touches the image's lines.
+ * Per-block record: a 32-byte slot with its key, plus 1 control byte.
+ * No copy of the block's bits: with fault injection off a DRAM copy is
+ * the content at storedVersion, which functional memory regenerates,
+ * and with it on the controller keeps the image in a side table.
  */
 struct BlockState
 {
@@ -51,23 +54,22 @@ struct BlockState
     Cycle lastWrite = 0;
     /** Content version: stores to the block so far. */
     u32 version = 0;
+    /** Content version of the DRAM copy (the version last stored). */
+    u32 storedVersion = 0;
+    /** COP-ER: the region entry a raw block's pointer names. */
+    u32 entry = 0;
     /** How the block is stored; see Stored. */
     Stored stored = Stored::Nothing;
     /** Some fill of the block came back uncompressed (System). */
     bool everUncompressed = false;
     /** COP-ER stored the block through a region entry at least once. */
     bool everIncompressible = false;
-    /** Bandwidth-mode burst length of the image; 0 means a full burst. */
+    /** Bandwidth-mode burst length of the copy; 0 means a full burst. */
     u8 beats = 0;
-    /**
-     * The stored DRAM image while stored is Image; the block's content
-     * as stored while stored is Protected or Raw.
-     */
-    CacheBlock image;
 };
 
 using BlockTable = FlatMap<BlockState>;
-static_assert(sizeof(BlockTable::value_type) == 88);
+static_assert(sizeof(BlockTable::value_type) == 32);
 
 /**
  * The block table a pool or controller works on: its own private one

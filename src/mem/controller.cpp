@@ -93,60 +93,45 @@ MemoryController::noteTransferBits(Addr addr, unsigned bits)
 }
 
 const CacheBlock &
-MemoryController::storedImage(Addr addr)
+MemoryController::storedImage(Addr addr, MemReadResult &result)
 {
     // The content source only reads the table, so `rec` stays valid.
     BlockState &rec = record(addr);
-    // Store-verbatim controllers only ever store images.
     if (rec.stored == Stored::Nothing) {
-        rec.image = content_(addr);
-        rec.stored = Stored::Image;
-        ++images_;
-        imageWritten(addr);
+        // First touch: store-verbatim controllers store the content.
+        const CacheBlock &data = content(addr);
+        result.storedVersion = rec.version;
         if (fault_.enabled)
-            applyStuckBits(addr);
+            return setImage(addr, data);
+        setStored(addr, Stored::Raw);
+        return data;
     }
-    return rec.image;
-}
-
-const CacheBlock *
-MemoryController::imageOf(Addr addr) const
-{
-    const BlockState *rec = findRecord(addr);
-    return rec != nullptr && rec->stored == Stored::Image ? &rec->image
-                                                          : nullptr;
-}
-
-CacheBlock *
-MemoryController::imageOf(Addr addr)
-{
-    return const_cast<CacheBlock *>(std::as_const(*this).imageOf(addr));
+    result.storedVersion = rec.storedVersion;
+    if (rec.stored == Stored::Image)
+        return *imageOf(addr);
+    return content(addr);
 }
 
 const CacheBlock &
 MemoryController::setImage(Addr addr, const CacheBlock &stored)
 {
-    BlockState &rec = record(addr);
-    markStored(rec, Stored::Image);
-    rec.image = stored;
+    COP_ASSERT(fault_.enabled);
+    markStored(record(addr), Stored::Image);
+    CacheBlock &image = images_[addr];
+    image = stored;
     imageWritten(addr);
-    if (fault_.enabled) {
-        fault_.faulted.erase(addr);
-        fault_.silentKnown.erase(addr);
-        applyStuckBits(addr);
-    }
-    return rec.image;
+    fault_.faulted.erase(addr);
+    fault_.silentKnown.erase(addr);
+    applyStuckBits(addr);
+    return image;
 }
 
 void
-MemoryController::setStored(Addr addr, Stored how, const CacheBlock &data)
+MemoryController::setStored(Addr addr, Stored how)
 {
     COP_ASSERT(!fault_.enabled);
     COP_ASSERT(how == Stored::Protected || how == Stored::Raw);
-    BlockState &rec = record(addr);
-    markStored(rec, how);
-    rec.image = data;
-    storedWithoutImage_ = true;
+    markStored(record(addr), how);
 }
 
 void
@@ -201,7 +186,7 @@ MemoryController::registerStats(StatsRegistry &reg) const
 void
 MemoryController::enableFaultInjection(const RecoveryConfig &cfg)
 {
-    if (storedWithoutImage_)
+    if (!fault_.enabled && storedBlocks_ != 0)
         COP_FATAL("fault injection must be enabled before the first "
                   "store: blocks stored so far kept no image to strike");
     fault_.enabled = true;
@@ -294,11 +279,9 @@ std::vector<Addr>
 MemoryController::imageAddressesSorted() const
 {
     std::vector<Addr> out;
-    out.reserve(images_);
-    for (const auto &kv : *blocks_) {
-        if (kv.second.stored == Stored::Image)
-            out.push_back(kv.first);
-    }
+    out.reserve(images_.size());
+    for (const auto &kv : images_)
+        out.push_back(kv.first);
     std::sort(out.begin(), out.end());
     return out;
 }
@@ -336,11 +319,11 @@ MemoryController::read(Addr addr, Cycle now)
         // The page-level copy (functional truth) replaces the fill, so
         // execution continues past the DUE; detectedUncorrectable stays
         // set for the caller's bookkeeping.
-        r.data = initialContent(addr);
+        r.data = content(addr);
         return r;
     }
     if (r.correctedError) {
-        if (r.data == initialContent(addr)) {
+        if (r.data == content(addr)) {
             // Scrub-on-read: restore the clean image so the same fault
             // is not corrected again (and cannot meet a second strike
             // later).
@@ -378,7 +361,7 @@ MemoryController::recoverDetected(Addr addr, Cycle now,
                         now);
     }
     ++fault_.log.recoveryRewrites;
-    recoveryWriteback(addr, initialContent(addr), now, was_uncompressed);
+    recoveryWriteback(addr, content(addr), now, was_uncompressed);
 }
 
 void
@@ -395,9 +378,10 @@ MemoryController::recoveryWriteback(Addr addr, const CacheBlock &data,
         BlockState &rec = record(addr);
         if (rec.stored != Stored::Nothing) {
             rec.stored = Stored::Nothing;
-            --images_;
+            --storedBlocks_;
         }
         rec.beats = 0;
+        images_.erase(addr);
         fault_.faulted.erase(addr);
         fault_.silentKnown.erase(addr);
     }
@@ -419,7 +403,7 @@ MemoryController::patrolScrub(Addr addr, Cycle now)
         fault_.faulted.erase(addr);
         recoverDetected(addr, now, r.wasUncompressed);
     } else if (r.correctedError) {
-        if (r.data == initialContent(addr)) {
+        if (r.data == content(addr)) {
             fault_.log.note(ErrorEventKind::ScrubCorrected, r.fillClass,
                             addr, now);
             fault_.faulted.erase(addr);
@@ -472,8 +456,7 @@ UnprotectedController::readImpl(Addr addr, Cycle now)
     MemReadResult result;
     result.complete = dramRead(addr, now);
     result.dramAccesses = 1;
-    result.data =
-        storedImage(addr);
+    result.data = storedImage(addr, result);
     logVuln(VulnClass::Unprotected, addr, now);
     return result;
 }
@@ -486,7 +469,7 @@ UnprotectedController::writeback(Addr addr, const CacheBlock &data,
     MemWriteResult result;
     result.complete = dramWrite(addr, now);
     result.dramAccesses = 1;
-    setImage(addr, data);
+    store(addr, Stored::Raw, data);
     noteWrite(addr, now);
     return result;
 }
@@ -537,8 +520,7 @@ EccDimmController::readImpl(Addr addr, Cycle now)
     MemReadResult result;
     result.complete = dramRead(addr, now);
     result.dramAccesses = 1;
-    const CacheBlock &img =
-        storedImage(addr);
+    const CacheBlock &img = storedImage(addr, result);
     if (isFaulted(addr)) {
         // Run the real (72,64) decode against the faulted image plus
         // its check-byte sidecar.

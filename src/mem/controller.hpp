@@ -22,10 +22,11 @@
  *    (coper_controller.hpp).
  *
  * Shared pieces live in one place each: this base holds the DRAM
- * channel, the stored images, the metadata-cache fetch (metaFetch) and
- * the recovery pipeline; CopController holds the codec, the first-touch
- * encode, the fill of a stored block (decoded, or served from its
- * recorded status) and the write counters; WideCheckSidecar
+ * channel, how each block is stored, the image side table, the
+ * metadata-cache fetch (metaFetch) and the recovery pipeline;
+ * CopController holds the codec, the first-touch encode, the fill of a
+ * stored block (decoded, or served from its recorded status) and the
+ * write counters; WideCheckSidecar
  * (ecc_region_controller.hpp) holds the (523,512) check bits of raw
  * blocks under fault injection.
  *
@@ -42,9 +43,10 @@
  * that keep producing uncorrectable errors are retired. A patrol
  * scrubber (driven by reliability/live_injector) walks the stored
  * images through the same machinery. All of it is a no-op when
- * injection is disabled, and then the COP-family controllers keep only
- * each block's stored status and content, not its image (DESIGN.md
- * section 5).
+ * injection is disabled, and then no controller keeps an image: a
+ * block's record holds how it is stored and the content version it was
+ * stored at, and a fill returns functional memory's content (DESIGN.md
+ * section 5). Images live in a side table only fault injection writes.
  */
 
 #ifndef COP_MEM_CONTROLLER_HPP
@@ -90,6 +92,12 @@ struct MemReadResult
     bool faultedBlock = false;
     /** Protection class this fill was logged under. */
     VulnClass fillClass = VulnClass::Unprotected;
+    /**
+     * Content version of the DRAM copy the fill read. A fault-free fill
+     * returns functional memory's current content, so the System's
+     * oracle checks this against the block's current version instead.
+     */
+    u32 storedVersion = 0;
     /** Read retries the recovery pipeline spent on this fill. */
     unsigned retries = 0;
 };
@@ -129,7 +137,7 @@ struct MemStats
 
 /**
  * Abstract memory controller. Subclasses implement the encode/decode
- * policy; this base supplies the DRAM channel, the stored-image
+ * policy; this base supplies the DRAM channel, the stored-block
  * functional state, first-touch initialisation, vulnerability logging,
  * and the fault-injection / error-recovery pipeline.
  */
@@ -243,31 +251,39 @@ class MemoryController
     /**
      * Direct access to the stored DRAM image (fault injection); null
      * for a block that is not stored, or is stored without its image
-     * (Stored::Protected / Stored::Raw).
+     * (always so with fault injection off).
      */
-    CacheBlock *imageOf(Addr addr);
-    const CacheBlock *imageOf(Addr addr) const;
-    /**
-     * Overwrite the stored image (fault injection); returns it as
-     * stored, stuck bits applied (valid until the next image insert).
-     */
-    const CacheBlock &setImage(Addr addr, const CacheBlock &stored);
+    CacheBlock *
+    imageOf(Addr addr)
+    {
+        const auto it = images_.find(addr);
+        return it == images_.end() ? nullptr : &it->second;
+    }
+    const CacheBlock *
+    imageOf(Addr addr) const
+    {
+        return const_cast<MemoryController *>(this)->imageOf(addr);
+    }
     /**
      * Distinct blocks stored in DRAM, with or without their image
      * (touched footprint).
      */
-    u64 imageBlockCount() const { return images_; }
+    u64 imageBlockCount() const { return storedBlocks_; }
+    /** Images in the side table (0 unless fault injection is on). */
+    u64 sideTableImages() const { return images_.size(); }
 
     /**
-     * Keep images, write times and transfer sizes in @p table (a
-     * System's shared per-block table); call before the first access.
+     * Keep how blocks are stored, write times and transfer sizes in
+     * @p table (a System's shared per-block table); call before the
+     * first access.
      */
     void shareBlockTable(BlockTable &table) { blocks_.share(table); }
 
     /**
      * Pre-size the block table for an expected touched footprint of
-     * @p blocks. Purely an allocation hint; the check sidecars start
-     * empty because they only hold faulted blocks.
+     * @p blocks. Purely an allocation hint; the image side table and
+     * the check sidecars start empty because only fault injection
+     * fills them.
      */
     void reserveFootprint(u64 blocks) { blocks_->reserve(blocks); }
 
@@ -275,7 +291,7 @@ class MemoryController
 
     /**
      * Arm the recovery pipeline; must precede any injectFault call.
-     * Fatal once a block was stored without its image (setStored):
+     * Fatal once any block was stored (setStored keeps no image):
      * there would be nothing to strike or decode.
      */
     void enableFaultInjection(const RecoveryConfig &cfg);
@@ -349,6 +365,34 @@ class MemoryController
     virtual void flipStoredBit(Addr addr, unsigned bit);
 
     /**
+     * Overwrite the stored image (fault injection only); returns it as
+     * stored, stuck bits applied (valid until the next image insert).
+     */
+    const CacheBlock &setImage(Addr addr, const CacheBlock &stored);
+
+    /**
+     * Store a block: its @p image under fault injection, else only
+     * @p how it is stored (setStored).
+     */
+    void
+    store(Addr addr, Stored how, const CacheBlock &image)
+    {
+        if (fault_.enabled)
+            setImage(addr, image);
+        else
+            setStored(addr, how);
+    }
+
+    /**
+     * Store a block without its image (fault injection off): the
+     * record keeps only how it is stored (@p how, Stored::Protected or
+     * Stored::Raw) and its current version as storedVersion, since the
+     * clean copy is the content at that version. Counts towards
+     * imageBlockCount().
+     */
+    void setStored(Addr addr, Stored how);
+
+    /**
      * Hook after setImage stores a clean image — variants drop any
      * derived fault-model state (check-bit sidecars) here.
      */
@@ -391,28 +435,23 @@ class MemoryController
     }
 
     /**
-     * Initial application content of a block (reference into the
-     * functional-memory pool; valid until the next content lookup).
+     * Functional memory's current content of a block (reference into
+     * the pool; valid until the next content lookup): the initial
+     * content on first touch, the truth recovery restores, and the data
+     * of a fault-free fill, since a clean copy stored at the block's
+     * current version holds exactly that.
      */
-    const CacheBlock &initialContent(Addr addr) const
-    {
-        return content_(addr);
-    }
+    const CacheBlock &content(Addr addr) const { return content_(addr); }
 
     /**
-     * Fetch the stored image, initialising it on first touch with the
-     * raw application content (the store-it-verbatim schemes; COP
-     * variants initialise through their encoder and setImage instead).
+     * The stored bits of a block the store-it-verbatim schemes keep,
+     * storing the initial application content on first touch (COP
+     * variants initialise through their encoder instead): the image
+     * under fault injection, else functional memory's content. Sets
+     * @p result.storedVersion. Valid until the next content lookup or
+     * image insert.
      */
-    const CacheBlock &storedImage(Addr addr);
-
-    /**
-     * Store a block without its image (fault injection off): the
-     * record keeps only how it is stored (@p how, Stored::Protected or
-     * Stored::Raw) and @p data, the content a decode of the image would
-     * return. Counts towards imageBlockCount().
-     */
-    void setStored(Addr addr, Stored how, const CacheBlock &data);
+    const CacheBlock &storedImage(Addr addr, MemReadResult &result);
 
     /** The block's record, or null if it has none. */
     const BlockState *
@@ -492,13 +531,17 @@ class MemoryController
         FlatMap<unsigned> pageDue;
     };
 
-    /** Mark @p rec stored as @p how, counting a newly stored block. */
+    /**
+     * Mark @p rec stored as @p how at its current version, counting a
+     * newly stored block.
+     */
     void
     markStored(BlockState &rec, Stored how)
     {
         if (rec.stored == Stored::Nothing)
-            ++images_;
+            ++storedBlocks_;
         rec.stored = how;
+        rec.storedVersion = rec.version;
     }
 
     Addr pageBase(Addr addr) const;
@@ -511,16 +554,20 @@ class MemoryController
                            bool was_uncompressed);
 
     /**
-     * Per-block records: stored images, write times and, in bandwidth
-     * mode, the burst length of each image (metadata addresses, the
-     * memlayout::kMetaBase / kTreeBase spaces, never get one, so their
-     * transfers stay 8 beats).
+     * Per-block records: how each block is stored and at which
+     * version, write times and, in bandwidth mode, the burst length of
+     * each copy (metadata addresses, the memlayout::kMetaBase /
+     * kTreeBase spaces, never get one, so their transfers stay 8
+     * beats).
      */
     BlockTableRef blocks_;
+    /**
+     * The image side table: the stored bits of every block whose
+     * record says Stored::Image. Only fault injection writes it.
+     */
+    FlatMap<CacheBlock> images_;
     /** Records whose block is stored (Stored other than Nothing). */
-    u64 images_ = 0;
-    /** setStored has run: fault injection can no longer be enabled. */
-    bool storedWithoutImage_ = false;
+    u64 storedBlocks_ = 0;
     FaultState fault_;
     AdaptiveStats adaptive_;
     /** Class of the most recent readImpl fill (set by logVuln). */

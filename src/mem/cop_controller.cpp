@@ -13,44 +13,48 @@ CopController::CopController(DramSystem &dram, ContentSource content,
 void
 CopController::fill(Addr addr, Cycle now, MemReadResult &result)
 {
-    if (storedAs(addr) == Stored::Nothing) {
-        // First touch: the block was written to DRAM before the trace
-        // window through the same encoder.
-        const CacheBlock &data = initialContent(addr);
-        const CopEncodeResult enc = encodeBlock(data);
-        if (enc.status == EncodeStatus::AliasRejected) {
-            // Incompressible alias: it can never have reached DRAM; it
-            // materialises pinned in the LLC (Section 3.1). Exceedingly
-            // rare — correctness machinery only.
-            result.aliasPinned = true;
-            result.data = data;
-            result.complete = dramRead(addr, now) + decodeLatency_;
-            result.dramAccesses = 1;
-            return;
-        }
-        noteTransferBits(addr, copTransferBits(enc, codec_.config()));
-        // Through setImage under fault injection: stuck bits apply.
-        keep(addr, data, enc);
+    if (storedAs(addr) != Stored::Nothing) {
+        readStored(addr, now, result, nullptr);
+        return;
     }
-    readStored(addr, now, result);
+    // First touch: the block was written to DRAM before the trace
+    // window through the same encoder.
+    const CacheBlock &data = content(addr);
+    const CopEncodeResult enc = encodeBlock(data);
+    if (enc.status == EncodeStatus::AliasRejected) {
+        // Incompressible alias: it can never have reached DRAM; it
+        // materialises pinned in the LLC (Section 3.1). Exceedingly
+        // rare — correctness machinery only.
+        result.aliasPinned = true;
+        result.data = data;
+        result.complete = dramRead(addr, now) + decodeLatency_;
+        result.dramAccesses = 1;
+        return;
+    }
+    noteTransferBits(addr, copTransferBits(enc, codec_.config()));
+    // Through setImage under fault injection: stuck bits apply.
+    keep(addr, enc);
+    readStored(addr, now, result, &data);
 }
 
 Cycle
-CopController::readStored(Addr addr, Cycle now, MemReadResult &result)
+CopController::readStored(Addr addr, Cycle now, MemReadResult &result,
+                          const CacheBlock *fresh)
 {
     // The data read inserts no record, so `rec` stays valid.
     const BlockState &rec = *findRecord(addr);
     const Cycle data_done = dramRead(addr, now);
     result.complete = data_done + decodeLatency_;
     result.dramAccesses = 1;
+    result.storedVersion = rec.storedVersion;
     if (rec.stored == Stored::Image) {
-        const CopDecodeResult dec = codec_.decode(rec.image);
+        const CopDecodeResult dec = codec_.decode(*imageOf(addr));
         result.data = dec.data;
         result.wasUncompressed = !dec.compressed;
         result.detectedUncorrectable = dec.detectedUncorrectable;
         result.correctedError = dec.correctedWords > 0;
     } else {
-        result.data = rec.image;
+        result.data = fresh != nullptr ? *fresh : content(addr);
         result.wasUncompressed = rec.stored == Stored::Raw;
     }
     if (!result.wasUncompressed)
@@ -65,7 +69,7 @@ CopController::storedRaw(Addr addr) const
     if (rec == nullptr)
         return false;
     if (rec->stored == Stored::Image)
-        return !codec_.decode(rec->image).compressed;
+        return !codec_.decode(*imageOf(addr)).compressed;
     return rec->stored == Stored::Raw;
 }
 
@@ -84,12 +88,12 @@ CopController::writeback(Addr addr, const CacheBlock &data, Cycle now,
                          bool was_uncompressed)
 {
     (void)was_uncompressed;
-    return storeEncoded(addr, data, encodeBlock(data), now);
+    return storeEncoded(addr, encodeBlock(data), now);
 }
 
 MemWriteResult
-CopController::storeEncoded(Addr addr, const CacheBlock &data,
-                            const CopEncodeResult &enc, Cycle now)
+CopController::storeEncoded(Addr addr, const CopEncodeResult &enc,
+                            Cycle now)
 {
     MemWriteResult result;
     if (enc.status == EncodeStatus::AliasRejected) {
@@ -101,7 +105,7 @@ CopController::storeEncoded(Addr addr, const CacheBlock &data,
     noteTransferBits(addr, copTransferBits(enc, codec_.config()));
     result.complete = dramWrite(addr, now);
     result.dramAccesses = 1;
-    keep(addr, data, enc);
+    keep(addr, enc);
     noteWrite(addr, now);
     return result;
 }

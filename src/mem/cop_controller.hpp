@@ -95,18 +95,14 @@ class CopController : public MemoryController
     }
 
     /**
-     * Store @p data as encodeBlock encoded it into @p enc (not an
+     * Store a block as encodeBlock encoded it into @p enc (not an
      * alias): its image under fault injection, else its status.
      */
     void
-    keep(Addr addr, const CacheBlock &data, const CopEncodeResult &enc)
+    keep(Addr addr, const CopEncodeResult &enc)
     {
-        if (faultInjectionEnabled())
-            setImage(addr, enc.stored);
-        else
-            setStored(addr, enc.isProtected() ? Stored::Protected
-                                              : Stored::Raw,
-                      data);
+        store(addr, enc.isProtected() ? Stored::Protected : Stored::Raw,
+              enc.stored);
     }
 
     /**
@@ -125,10 +121,13 @@ class CopController : public MemoryController
      * travel inline; unlogged for a raw one. A stored image is decoded.
      * A block stored as a status returns what that decode would: the
      * decoder's compressed-or-raw answer is the status the encoder
-     * chose, and decode(encode(x)) is x with clean flags. Returns when
-     * the data read completes.
+     * chose, and decode(encode(x)) is x with clean flags, where x is
+     * functional memory's content (@p fresh when the caller has just
+     * looked it up to store it, else a new lookup). Returns when the
+     * data read completes.
      */
-    Cycle readStored(Addr addr, Cycle now, MemReadResult &result);
+    Cycle readStored(Addr addr, Cycle now, MemReadResult &result,
+                     const CacheBlock *fresh);
 
     /** Is @p addr stored raw (a fault-free decode says uncompressed)? */
     bool storedRaw(Addr addr) const;
@@ -146,12 +145,12 @@ class CopController : public MemoryController
     }
 
     /**
-     * Write back @p data, encoded as @p enc, as COP stores it: an
+     * Write back a block encoded as @p enc, as COP stores it: an
      * incompressible alias is rejected (the LLC keeps the line,
      * Section 3.1); anything else is counted and written in place.
      */
-    MemWriteResult storeEncoded(Addr addr, const CacheBlock &data,
-                                const CopEncodeResult &enc, Cycle now);
+    MemWriteResult storeEncoded(Addr addr, const CopEncodeResult &enc,
+                                Cycle now);
 
     CopCodec codec_;
     Cycle decodeLatency_;

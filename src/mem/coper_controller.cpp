@@ -78,11 +78,12 @@ CopErController::maybeReclaimEntryBlock(u32 index, Cycle now)
     }
 }
 
-CacheBlock
+void
 CopErController::storeIncompressible(Addr addr, const CacheBlock &data,
                                      Cycle now, bool reuse_existing,
                                      u32 reuse_index)
 {
+    // Region and DRAM traffic insert no record, so `rec` stays valid.
     BlockState &rec = record(addr);
     if (!rec.everIncompressible) {
         rec.everIncompressible = true;
@@ -124,7 +125,9 @@ CopErController::storeIncompressible(Addr addr, const CacheBlock &data,
     entry.displaced = enc.displaced;
     entry.check = enc.check;
     metaFetch(meta_, entryBlockAddr(index), now, true);
-    return enc.stored;
+    // Through setImage under fault injection: stuck bits apply.
+    store(addr, Stored::Raw, enc.stored);
+    rec.entry = index;
 }
 
 unsigned
@@ -165,29 +168,42 @@ MemReadResult
 CopErController::readImpl(Addr addr, Cycle now)
 {
     MemReadResult result;
+    const CacheBlock *fresh = nullptr;
     if (storedAs(addr) == Stored::Nothing) {
         // First touch: initial memory was stored through the same
         // encoder.
-        const CacheBlock &data = initialContent(addr);
+        const CacheBlock &data = content(addr);
         const CopEncodeResult enc = encodeBlock(data);
         // Incompressible blocks ship raw (pointer in place of check
         // bits): copTransferBits yields a full block and clears any
         // stale shortening for the address.
         noteTransferBits(addr, copTransferBits(enc, codec_.config()));
         if (enc.status == EncodeStatus::Protected)
-            keep(addr, data, enc);
+            keep(addr, enc);
         else
-            setImage(addr, storeIncompressible(addr, data, now, false, 0));
+            storeIncompressible(addr, data, now, false, 0);
+        fresh = &data;
     }
 
-    const Cycle data_done = readStored(addr, now, result);
+    const Cycle data_done = readStored(addr, now, result, fresh);
     if (!result.wasUncompressed)
         return result;
 
     // Uncompressed: chase the embedded pointer to the ECC entry. The
     // entry fetch serialises behind the data (the pointer is in the
-    // data), then the block is reconstructed and checked. Raw blocks
-    // always keep their image, because it holds the pointer.
+    // data), then the block is reconstructed and checked.
+    if (!faultInjectionEnabled()) {
+        // Fault-free: the pointer is the entry the record names, and
+        // the reconstruction of a clean copy is the data already read.
+        const u32 index = findRecord(addr)->entry;
+        COP_ASSERT(region_.valid(index));
+        const Cycle meta_done =
+            metaFetch(meta_, entryBlockAddr(index), data_done, false);
+        ++result.dramAccesses;
+        result.complete = std::max(data_done, meta_done) + decodeLatency_;
+        logVuln(VulnClass::CopErUncompressed, addr, now);
+        return result;
+    }
     const CacheBlock &stored = *imageOf(addr);
     const PointerDecodeResult ptr = coper_.extractPointer(stored);
     if (ptr.ecc.uncorrectable() || !region_.valid(ptr.entryIndex)) {
@@ -217,18 +233,21 @@ CopErController::writeback(Addr addr, const CacheBlock &data, Cycle now,
     MemWriteResult result;
 
     // Locate any existing entry: the pointer is read back from the old
-    // stored image in memory (Section 3.3: "the pointer to the ECC
-    // entry is read from memory").
+    // stored copy in memory (Section 3.3: "the pointer to the ECC entry
+    // is read from memory"). A clean copy's pointer is the entry its
+    // record names; a faulted image's is what its bits decode to.
     u32 old_index = 0;
     bool have_old = false;
     if (was_uncompressed) {
         // The line was filled raw and this is its only writeback, so the
-        // block is still stored raw, with its image.
-        COP_ASSERT(storedAs(addr) != Stored::Protected);
-        if (const CacheBlock *old = imageOf(addr)) {
+        // block is still stored raw.
+        const Stored how = storedAs(addr);
+        COP_ASSERT(how != Stored::Protected);
+        if (how != Stored::Nothing) {
             ++erStats_.pointerReads;
+            old_index = how == Stored::Raw ? findRecord(addr)->entry
+                                           : pointerOf(*imageOf(addr));
             dramRead(addr, now);
-            old_index = pointerOf(*old);
             have_old = region_.valid(old_index);
         }
     }
@@ -254,10 +273,9 @@ CopErController::writeback(Addr addr, const CacheBlock &data, Cycle now,
             maybeReleaseEntryBlock(old_index);
             metaFetch(meta_, entryBlockAddr(old_index), now, true);
         }
-        keep(addr, data, enc);
+        keep(addr, enc);
     } else {
-        setImage(addr, storeIncompressible(addr, data, now, have_old,
-                                           old_index));
+        storeIncompressible(addr, data, now, have_old, old_index);
     }
 
     result.complete = dramWrite(addr, now);

@@ -131,13 +131,12 @@ class CopErController : public CopController
     void chargeTreeTouches(Cycle now);
 
     /**
-     * Build the stored image for an incompressible block: allocate (or
-     * reuse) an entry, de-aliasing by re-selection when needed, and
-     * populate it.
+     * Store an incompressible block: allocate (or reuse) an entry,
+     * de-aliasing by re-selection when needed, populate it, and store
+     * the block raw with the entry in its record.
      */
-    CacheBlock storeIncompressible(Addr addr, const CacheBlock &data,
-                                   Cycle now, bool reuse_existing,
-                                   u32 reuse_index);
+    void storeIncompressible(Addr addr, const CacheBlock &data, Cycle now,
+                             bool reuse_existing, u32 reuse_index);
 
     /** Extract the entry index embedded in a stored image. */
     u32 pointerOf(const CacheBlock &stored) const;

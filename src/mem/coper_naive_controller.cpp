@@ -60,7 +60,7 @@ CopErNaiveController::writeback(Addr addr, const CacheBlock &data,
     // A raw block updates its entry in the always-reserved region.
     if (enc.status == EncodeStatus::Unprotected)
         metaFetch(meta_, memlayout::eccRegionEntryAddr(addr), now, true);
-    return storeEncoded(addr, data, enc, now);
+    return storeEncoded(addr, enc, now);
 }
 
 } // namespace cop

@@ -109,8 +109,11 @@ EccRegionController::readImpl(Addr addr, Cycle now)
     MemReadResult result;
     // Adaptive mode classifies first-touch content before any timing
     // is charged (storedImage is functional-only, no DRAM traffic).
-    if (adaptiveMode_ && imageOf(addr) == nullptr)
-        noteBlockContent(addr, storedImage(addr), now);
+    const bool classify =
+        adaptiveMode_ && storedAs(addr) == Stored::Nothing;
+    result.data = storedImage(addr, result);
+    if (classify)
+        noteBlockContent(addr, result.data, now);
     // Data and ECC reads are independent and overlap; the fill completes
     // when both are home and the wide code has been checked.
     const Cycle data_done = dramRead(addr, now);
@@ -123,7 +126,6 @@ EccRegionController::readImpl(Addr addr, Cycle now)
                         false);
     result.complete = std::max(data_done, meta_done);
     result.dramAccesses = 1 + (meta_done > now ? 1 : 0);
-    result.data = storedImage(addr);
     if (isFaulted(addr))
         check_.correct(addr, result);
     logVuln(VulnClass::WideCode, addr, now);
@@ -148,7 +150,7 @@ EccRegionController::writeback(Addr addr, const CacheBlock &data,
     if (!(adaptiveMode_ && groupReleased(addr)))
         metaFetch(meta_, memlayout::eccRegionEntryAddr(addr), now, true);
     result.dramAccesses = 1;
-    setImage(addr, data);
+    store(addr, Stored::Raw, data);
     noteWrite(addr, now);
     return result;
 }

@@ -434,11 +434,22 @@ System::handleMiss(Addr addr, bool is_write, Cycle now)
     const MemReadResult fill = controller_->read(addr, now);
 
     if (cfg_.verifyData) {
-        // Ground-truth oracle: compare the fill against functional
-        // memory. Without fault injection any mismatch is an encoder/
-        // decoder bug and aborts; with it, a mismatch nobody flagged
-        // is silent data corruption and is counted as such.
-        const CacheBlock &expect = poolFor(addr).blockForRef(addr);
+        // Ground-truth oracle. A fault-free fill returns functional
+        // memory's current content, so first the DRAM copy it read
+        // must have been stored at the block's current version: an
+        // older copy is a lost writeback, even where its content
+        // happens to equal the current one.
+        BlockContentPool &pool = poolFor(addr);
+        if (!fill.aliasPinned && fill.storedVersion != pool.versionOf(addr))
+            COP_PANIC("memory returned a stale copy of block " +
+                      std::to_string(addr) + ": stored at version " +
+                      std::to_string(fill.storedVersion) + ", current " +
+                      std::to_string(pool.versionOf(addr)));
+        // Then compare the fill against functional memory. Without
+        // fault injection any mismatch is an encoder/decoder bug and
+        // aborts; with it, a mismatch nobody flagged is silent data
+        // corruption and is counted as such.
+        const CacheBlock &expect = pool.blockForRef(addr);
         const bool match = fill.data == expect;
         if (!match && !fill.detectedUncorrectable) {
             if (cfg_.fault.enabled) {

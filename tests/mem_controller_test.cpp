@@ -10,6 +10,7 @@
 #include "mem/coper_controller.hpp"
 #include "mem/ecc_region_controller.hpp"
 #include "test_blocks.hpp"
+#include "test_memory.hpp"
 #include "workloads/trace_gen.hpp"
 
 namespace cop {
@@ -20,7 +21,8 @@ class ControllerTest : public ::testing::Test
 {
   protected:
     ControllerTest()
-        : profile(WorkloadRegistry::byName("mcf")), pool(profile)
+        : profile(WorkloadRegistry::byName("mcf")), pool(profile),
+          memory(pool)
     {
         DramConfig cfg;
         cfg.refreshEnabled = false;
@@ -37,25 +39,27 @@ class ControllerTest : public ::testing::Test
 
     const WorkloadProfile &profile;
     BlockContentPool pool;
+    /** Functional memory for the tests that write content back. */
+    TestMemory memory;
     std::unique_ptr<DramSystem> dram;
 };
 
 TEST_F(ControllerTest, UnprotectedReadYourWrites)
 {
-    UnprotectedController ctrl(*dram, source());
+    UnprotectedController ctrl(*dram, memory.source());
     const Addr addr = 7 * kBlockBytes;
     // First touch: initial content.
     EXPECT_EQ(ctrl.read(addr, 0).data, pool.blockFor(addr));
     // Write new content; read it back.
     pool.bumpVersion(addr);
     const CacheBlock updated = pool.blockFor(addr);
-    ctrl.writeback(addr, updated, 1000, false);
+    memory.write(ctrl, addr, updated, 1000, false);
     EXPECT_EQ(ctrl.read(addr, 2000).data, updated);
 }
 
 TEST_F(ControllerTest, CopReadYourWritesAcrossManyBlocks)
 {
-    CopController ctrl(*dram, source());
+    CopController ctrl(*dram, memory.source());
     Cycle now = 0;
     for (Addr addr = 0; addr < 500 * kBlockBytes; addr += kBlockBytes) {
         const MemReadResult r = ctrl.read(addr, now);
@@ -64,7 +68,8 @@ TEST_F(ControllerTest, CopReadYourWritesAcrossManyBlocks)
         // Update and write back.
         pool.bumpVersion(addr);
         const CacheBlock updated = pool.blockFor(addr);
-        const MemWriteResult w = ctrl.writeback(addr, updated, now, false);
+        const MemWriteResult w =
+            memory.write(ctrl, addr, updated, now, false);
         if (!w.aliasRejected) {
             const MemReadResult r2 = ctrl.read(addr, now + 100);
             ASSERT_EQ(r2.data, updated) << "addr " << addr;
@@ -158,7 +163,7 @@ TEST_F(ControllerTest, EccRegionStorageIsTwoBytesPerBlock)
 
 TEST_F(ControllerTest, CopErReadYourWrites)
 {
-    CopErController ctrl(*dram, source());
+    CopErController ctrl(*dram, memory.source());
     Cycle now = 0;
     for (Addr addr = 0; addr < 500 * kBlockBytes; addr += kBlockBytes) {
         const MemReadResult r = ctrl.read(addr, now);
@@ -168,7 +173,7 @@ TEST_F(ControllerTest, CopErReadYourWrites)
         pool.bumpVersion(addr);
         const CacheBlock updated = pool.blockFor(addr);
         const MemWriteResult w =
-            ctrl.writeback(addr, updated, now, r.wasUncompressed);
+            memory.write(ctrl, addr, updated, now, r.wasUncompressed);
         EXPECT_FALSE(w.aliasRejected);
         const MemReadResult r2 = ctrl.read(addr, now + 100);
         ASSERT_EQ(r2.data, updated) << "addr " << addr;
@@ -192,7 +197,7 @@ TEST_F(ControllerTest, CopErAllocatesEntriesForIncompressibleOnly)
 
 TEST_F(ControllerTest, CopErFreesEntryWhenBlockBecomesCompressible)
 {
-    CopErController ctrl(*dram, source());
+    CopErController ctrl(*dram, memory.source());
     // Find an incompressible block.
     Addr target = 0;
     bool found = false;
@@ -210,7 +215,7 @@ TEST_F(ControllerTest, CopErFreesEntryWhenBlockBecomesCompressible)
 
     // Overwrite with compressible data: the entry must be freed.
     const CacheBlock zeros;
-    ctrl.writeback(target, zeros, 1000, true);
+    memory.write(ctrl, target, zeros, 1000, true);
     EXPECT_EQ(ctrl.region().validEntries(), 0u);
     EXPECT_EQ(ctrl.erStats().entryFrees, 1u);
     EXPECT_EQ(ctrl.read(target, 2000).data, zeros);
@@ -218,7 +223,7 @@ TEST_F(ControllerTest, CopErFreesEntryWhenBlockBecomesCompressible)
 
 TEST_F(ControllerTest, CopErReusesEntryOnIncompressibleRewrite)
 {
-    CopErController ctrl(*dram, source());
+    CopErController ctrl(*dram, memory.source());
     Addr target = 0;
     for (Addr addr = 0;; addr += kBlockBytes) {
         ASSERT_LT(addr, 5000 * kBlockBytes);
@@ -232,7 +237,7 @@ TEST_F(ControllerTest, CopErReusesEntryOnIncompressibleRewrite)
 
     pool.bumpVersion(target); // still Random category => incompressible
     const CacheBlock updated = pool.blockFor(target);
-    ctrl.writeback(target, updated, 1000, true);
+    memory.write(ctrl, target, updated, 1000, true);
     EXPECT_EQ(ctrl.erStats().entryReuses, 1u);
     EXPECT_EQ(ctrl.region().validEntries(), 1u);
     EXPECT_EQ(ctrl.read(target, 2000).data, updated);

@@ -25,6 +25,7 @@
 #include "reliability/ondie_ecc.hpp"
 #include "sim/runner.hpp"
 #include "sim/system.hpp"
+#include "test_memory.hpp"
 #include "workloads/trace_gen.hpp"
 
 namespace cop {
@@ -362,16 +363,18 @@ TEST(OndieEcc, EccRegionAdaptiveRoundtripPromoteDemotePromote)
     DramConfig dcfg;
     dcfg.refreshEnabled = false;
     DramSystem dram(dcfg);
-    EccRegionController ctrl(dram, [&](Addr a) -> const CacheBlock & {
-        return pool.blockForRef(a);
-    });
+    TestMemory memory(pool);
+    EccRegionController ctrl(dram, memory.source());
     ctrl.enableAdaptiveCapacity();
     ASSERT_TRUE(ctrl.adaptiveCapacityEnabled());
+    // Armed before the first store, so every store keeps its image
+    // for the strike below.
+    ctrl.enableFaultInjection(RecoveryConfig{});
 
     // Promote: write one compressible block of an untouched group.
     CacheBlock zeros{}; // all-zero: maximally compressible
     const Addr addr = 64 * 32 * kBlockBytes; // group-aligned, fresh
-    ctrl.writeback(addr, zeros, 0, false);
+    memory.write(ctrl, addr, zeros, 0, false);
     EXPECT_TRUE(ctrl.groupReleased(addr));
     EXPECT_EQ(ctrl.adaptiveStats().slotsReclaimed, 1u);
     EXPECT_EQ(ctrl.adaptiveStats().releasedBlocks, 1u);
@@ -381,14 +384,14 @@ TEST(OndieEcc, EccRegionAdaptiveRoundtripPromoteDemotePromote)
     Rng rng(17);
     for (unsigned i = 0; i < kBlockBytes; ++i)
         noise.data()[i] = static_cast<u8>(rng.next());
-    ctrl.writeback(addr, noise, 100, false);
+    memory.write(ctrl, addr, noise, 100, false);
     EXPECT_FALSE(ctrl.groupReleased(addr));
     EXPECT_EQ(ctrl.adaptiveStats().demotions, 1u);
     EXPECT_EQ(ctrl.adaptiveStats().victimEvictions, 1u);
     EXPECT_EQ(ctrl.adaptiveStats().releasedBlocks, 0u);
 
     // Promote again: compressible content re-releases the group.
-    ctrl.writeback(addr, zeros, 200, false);
+    memory.write(ctrl, addr, zeros, 200, false);
     EXPECT_TRUE(ctrl.groupReleased(addr));
     EXPECT_EQ(ctrl.adaptiveStats().slotsReclaimed, 2u);
     EXPECT_EQ(ctrl.adaptiveStats().releasedBlocksHighWater, 1u);
@@ -396,7 +399,6 @@ TEST(OndieEcc, EccRegionAdaptiveRoundtripPromoteDemotePromote)
     // With live faults striking the roundtripped block, reads still
     // return correct (or corrected) data — the recovery pipeline sits
     // above untouched stored images.
-    ctrl.enableFaultInjection(RecoveryConfig{});
     EXPECT_TRUE(ctrl.injectFault(addr, {17}, 300, false));
     const MemReadResult r = ctrl.read(addr, 400);
     EXPECT_EQ(r.data, zeros);
@@ -410,9 +412,8 @@ TEST(OndieEcc, CopErAdaptiveReleasesDrainedEntryBlocks)
     DramConfig dcfg;
     dcfg.refreshEnabled = false;
     DramSystem dram(dcfg);
-    CopErController ctrl(dram, [&](Addr a) -> const CacheBlock & {
-        return pool.blockForRef(a);
-    });
+    TestMemory memory(pool);
+    CopErController ctrl(dram, memory.source());
     ctrl.enableAdaptiveCapacity();
 
     CacheBlock noise{};
@@ -425,7 +426,7 @@ TEST(OndieEcc, CopErAdaptiveReleasesDrainedEntryBlocks)
     std::vector<Addr> addrs;
     for (unsigned i = 0; i < EccRegion::kEntriesPerBlock; ++i) {
         const Addr a = static_cast<Addr>(i) * kBlockBytes;
-        ctrl.writeback(a, noise, 0, false);
+        memory.write(ctrl, a, noise, 0, false);
         addrs.push_back(a);
     }
     ASSERT_EQ(ctrl.region().validEntries(),
@@ -434,14 +435,14 @@ TEST(OndieEcc, CopErAdaptiveReleasesDrainedEntryBlocks)
 
     // Drain it: every block re-compresses, entries free one by one.
     for (const Addr a : addrs)
-        ctrl.writeback(a, zeros, 1000, true);
+        memory.write(ctrl, a, zeros, 1000, true);
     EXPECT_EQ(ctrl.region().validEntries(), 0u);
     EXPECT_TRUE(ctrl.entryBlockReleased(0));
     EXPECT_EQ(ctrl.adaptiveStats().slotsReclaimed, 1u);
 
     // Demote: one block turns incompressible again; its allocation
     // lands in the released entry block and evicts the data victim.
-    ctrl.writeback(addrs[0], noise, 2000, false);
+    memory.write(ctrl, addrs[0], noise, 2000, false);
     EXPECT_FALSE(ctrl.entryBlockReleased(0));
     EXPECT_EQ(ctrl.adaptiveStats().demotions, 1u);
     // Read-your-writes still holds through the whole cycle.

@@ -148,13 +148,13 @@ digestCases()
         ControllerKind kind;
         u64 expected;
     } schemes[] = {
-        {ControllerKind::Unprotected, 0x00bf7b6fb5426508ULL},
-        {ControllerKind::EccDimm, 0xf7f178ca9791d808ULL},
-        {ControllerKind::EccRegion, 0x01afe255f708516eULL},
-        {ControllerKind::Cop4, 0x08719032e88314c1ULL},
-        {ControllerKind::Cop8, 0xd9ce6a62fa01c141ULL},
-        {ControllerKind::CopEr, 0xd10cb00746aeb62dULL},
-        {ControllerKind::CopErNaive, 0x1f395bf3aa90037aULL},
+        {ControllerKind::Unprotected, 0x4bd52ff369ea95beULL},
+        {ControllerKind::EccDimm, 0x43072d4e4c3a08beULL},
+        {ControllerKind::EccRegion, 0xb2c9b4fec24184b4ULL},
+        {ControllerKind::Cop4, 0xc12c5482b3f9800fULL},
+        {ControllerKind::Cop8, 0x92892eb2c5782c8fULL},
+        {ControllerKind::CopEr, 0x1ff2dd5e7b7582e7ULL},
+        {ControllerKind::CopErNaive, 0x667e97a3df19982cULL},
     };
     for (const auto &s : schemes)
         cases.push_back({controllerKindName(s.kind), "mcf",
@@ -207,11 +207,11 @@ digestCases()
         ControllerKind kind;
         u64 expected;
     } bandwidths[] = {
-        {"bandwidth COP", ControllerKind::Cop4, 0x23815f7121ed7612ULL},
+        {"bandwidth COP", ControllerKind::Cop4, 0x6d43f24106bae0ceULL},
         {"bandwidth COP-ER", ControllerKind::CopEr,
-         0x640dbb59d4cd31f9ULL},
+         0x31d35c61ef8f6742ULL},
         {"bandwidth COP-ER-nv", ControllerKind::CopErNaive,
-         0xf7db315fc027ab7aULL},
+         0x81c1cc8108b97de6ULL},
     };
     for (const auto &b : bandwidths) {
         SystemConfig bandwidth = shortConfig(b.kind);
@@ -228,7 +228,7 @@ digestCases()
     SystemConfig adaptive = shortConfig(ControllerKind::EccRegion);
     adaptive.adaptiveEccCapacity = true;
     cases.push_back({"adaptive ECC Reg.", "lbm", adaptive,
-                     0x61eece0e814e68cbULL, [](const SystemResults &r) {
+                     0xe7697becbb55cccfULL, [](const SystemResults &r) {
                          return r.adaptive.slotsReclaimed > 0;
                      }});
     return cases;

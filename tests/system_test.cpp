@@ -221,5 +221,84 @@ TEST(System, MoreCoresMoreContention)
     EXPECT_LT(ipc4, ipc1 * 1.001);
 }
 
+constexpr ControllerKind kAllKinds[] = {
+    ControllerKind::Unprotected, ControllerKind::EccDimm,
+    ControllerKind::EccRegion,   ControllerKind::Cop4,
+    ControllerKind::Cop8,        ControllerKind::CopEr,
+    ControllerKind::CopErNaive,
+};
+
+TEST(System, FaultFreeRunsKeepNoImages)
+{
+    // With fault injection off no controller writes the image side
+    // table, and the touched footprint still counts every stored
+    // block: as many as a run that keeps images (faults armed, none
+    // arriving) stores.
+    const auto &profile = WorkloadRegistry::byName("gcc");
+    for (const ControllerKind kind : kAllKinds) {
+        System clean(profile, smallConfig(kind));
+        const SystemResults r = clean.run();
+        EXPECT_GT(r.touchedBlocks, 0u) << controllerKindName(kind);
+        EXPECT_EQ(clean.controller().sideTableImages(), 0u)
+            << controllerKindName(kind);
+
+        SystemConfig armed = smallConfig(kind);
+        armed.fault.enabled = true;
+        System imaged(profile, armed);
+        const SystemResults ri = imaged.run();
+        EXPECT_EQ(ri.touchedBlocks, r.touchedBlocks)
+            << controllerKindName(kind);
+        EXPECT_EQ(imaged.controller().sideTableImages(), ri.touchedBlocks)
+            << controllerKindName(kind);
+    }
+}
+
+/** One core whose every epoch reads the same block. */
+class OneBlockSource : public EpochSource
+{
+  public:
+    OneBlockSource(const WorkloadProfile &profile, Addr addr)
+        : pool_(profile)
+    {
+        epoch_.instructions = 100;
+        epoch_.accesses.push_back(TraceAccess{addr, false});
+    }
+
+    const Epoch &next() override { return epoch_; }
+    BlockContentPool &pool() override { return pool_; }
+    const BlockContentPool &pool() const override { return pool_; }
+
+  private:
+    BlockContentPool pool_;
+    Epoch epoch_;
+};
+
+TEST(SystemDeathTest, FillOfAStaleCopyPanics)
+{
+    // A fault-free fill returns functional memory's current content,
+    // so only the stored version can show that DRAM holds an older
+    // copy: here a store the controller never saw.
+    const auto &profile = WorkloadRegistry::byName("gcc");
+    const Addr addr = 12 * kBlockBytes;
+    BlockContentPool *pool = nullptr;
+    SystemConfig cfg = smallConfig(ControllerKind::Cop4, 1, 1);
+    cfg.epochSource = [&](unsigned) {
+        auto source = std::make_unique<OneBlockSource>(profile, addr);
+        pool = &source->pool();
+        return source;
+    };
+    {
+        // Stored at the current version: the fill passes the oracle.
+        System sys(profile, cfg);
+        sys.controller().writeback(addr, pool->blockFor(addr), 0, false);
+        EXPECT_EQ(sys.run().llcMisses, 1u);
+    }
+    System sys(profile, cfg);
+    sys.controller().writeback(addr, pool->blockFor(addr), 0, false);
+    pool->bumpVersion(addr);
+    EXPECT_DEATH(sys.run(), "stale copy of block 768: stored at version "
+                            "0, current 1");
+}
+
 } // namespace
 } // namespace cop
