@@ -677,9 +677,9 @@ System::reconcileShards(u64 quantum_cycles_hint)
     // store bumps into the global version view, then advance every
     // shard's pool to it. The touched list is sorted and deduplicated
     // so the merge order — and with it the run — is deterministic.
-    // Content images already cached under a stale version are
-    // tolerated (verifyData is off in fast mode) and replaced on the
-    // next version-keyed miss.
+    // DRAM copies stored at a now-stale version are tolerated
+    // (verifyData is off in fast mode); a fill of one returns the
+    // merged version's content.
     if (profile_.sharedFootprint) {
         std::vector<Addr> touched;
         for (System *s : shards) {
@@ -835,10 +835,10 @@ System::run()
 
     SystemResults results = collectResults();
     if (cfg_.fastTiming) {
-        // Fold the peer shards in. touchedBlocks is a per-shard image
-        // count — exact in rate mode (disjoint regions), a slight
+        // Fold the peer shards in. touchedBlocks is a per-shard stored
+        // block count — exact in rate mode (disjoint regions), a slight
         // over-count in shared-footprint mode (a block both shards
-        // touched has an image in each); part of the documented
+        // touched is stored in each); part of the documented
         // divergence contract, like everything below.
         for (auto &peer : peers_)
             mergeResultsInto(results, peer->collectResults());
@@ -877,7 +877,7 @@ System::collectResults()
     results.adaptive = controller_->adaptiveStats();
     results.everUncompressedBlocks = everUncompressedBlocks_;
 
-    // Footprint actually touched: distinct blocks with a DRAM image.
+    // Footprint actually touched: distinct blocks stored in DRAM.
     results.touchedBlocks = controller_->imageBlockCount();
     for (const auto &core : cores_)
         results.poolBlockForCalls += core.gen->pool().blockForCalls();
