@@ -365,14 +365,8 @@ class MemoryController
     virtual void flipStoredBit(Addr addr, unsigned bit);
 
     /**
-     * Overwrite the stored image (fault injection only); returns it as
-     * stored, stuck bits applied (valid until the next image insert).
-     */
-    const CacheBlock &setImage(Addr addr, const CacheBlock &stored);
-
-    /**
-     * Store a block: its @p image under fault injection, else only
-     * @p how it is stored (setStored).
+     * Store a block: its @p image under fault injection (setImage),
+     * else only @p how it is stored (setStored).
      */
     void
     store(Addr addr, Stored how, const CacheBlock &image)
@@ -382,15 +376,6 @@ class MemoryController
         else
             setStored(addr, how);
     }
-
-    /**
-     * Store a block without its image (fault injection off): the
-     * record keeps only how it is stored (@p how, Stored::Protected or
-     * Stored::Raw) and its current version as storedVersion, since the
-     * clean copy is the content at that version. Counts towards
-     * imageBlockCount().
-     */
-    void setStored(Addr addr, Stored how);
 
     /**
      * Hook after setImage stores a clean image — variants drop any
@@ -530,6 +515,21 @@ class MemoryController
         /** Uncorrectable-error count per page base. */
         FlatMap<unsigned> pageDue;
     };
+
+    /**
+     * Overwrite the stored image (fault injection only); returns it as
+     * stored, stuck bits applied (valid until the next image insert).
+     */
+    const CacheBlock &setImage(Addr addr, const CacheBlock &stored);
+
+    /**
+     * Store a block without its image (fault injection off): the
+     * record keeps only how it is stored (@p how, Stored::Protected or
+     * Stored::Raw) and its current version as storedVersion, since the
+     * clean copy is the content at that version. Counts towards
+     * imageBlockCount().
+     */
+    void setStored(Addr addr, Stored how);
 
     /**
      * Mark @p rec stored as @p how at its current version, counting a
