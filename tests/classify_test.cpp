@@ -22,6 +22,7 @@
 
 #include "core/encode_counter.hpp"
 #include "mem/cop_controller.hpp"
+#include "sim/system.hpp"
 #include "test_print.hpp"
 #include "workloads/trace_gen.hpp"
 
@@ -178,10 +179,20 @@ TEST_F(ClassifiedStore, FillsServeStoredContentWithoutAnImage)
 
 TEST_F(ClassifiedStore, EnablingFaultsAfterAStoreIsFatal)
 {
-    CopController ctrl(*dram, source());
-    ctrl.writeback(0, pool.blockFor(0), 0, false);
-    EXPECT_DEATH(ctrl.enableFaultInjection(RecoveryConfig{}),
-                 "fault injection must be enabled before the first store");
+    // With faults off every controller stores a status, not an image,
+    // so faults armed afterwards would have nothing to strike.
+    for (const ControllerKind kind :
+         {ControllerKind::Unprotected, ControllerKind::EccDimm,
+          ControllerKind::EccRegion, ControllerKind::Cop4,
+          ControllerKind::Cop8, ControllerKind::CopEr,
+          ControllerKind::CopErNaive}) {
+        const auto ctrl = makeController(kind, *dram, source(), 4, 1 << 20);
+        ctrl->writeback(0, pool.blockFor(0), 0, false);
+        EXPECT_DEATH(ctrl->enableFaultInjection(RecoveryConfig{}),
+                     "fault injection must be enabled before the first "
+                     "store")
+            << controllerKindName(kind);
+    }
 }
 
 } // namespace

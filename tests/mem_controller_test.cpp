@@ -243,6 +243,59 @@ TEST_F(ControllerTest, CopErReusesEntryOnIncompressibleRewrite)
     EXPECT_EQ(ctrl.read(target, 2000).data, updated);
 }
 
+TEST_F(ControllerTest, CopErRawRecordsNameEntriesThatRebuildTheirBlocks)
+{
+    // Fault-free fills never read a region entry back, so check the
+    // entries directly. After rounds of allocations, reuses and frees,
+    // each raw block's record names its own valid entry, and that
+    // entry's displaced and check bits rebuild the block's current
+    // content from the image the block is stored as.
+    BlockTable table;
+    CopErController ctrl(*dram, memory.source());
+    ctrl.shareBlockTable(table);
+    Rng rng(41);
+    Cycle now = 0;
+    for (unsigned round = 0; round < 3; ++round) {
+        for (Addr addr = 0; addr < 400 * kBlockBytes; addr += kBlockBytes) {
+            const MemReadResult r = ctrl.read(addr, now);
+            CacheBlock next{}; // all-zero: compressible
+            const u64 pick = rng.next() % 3;
+            if (pick == 0) {
+                pool.bumpVersion(addr);
+                next = pool.blockFor(addr);
+            } else if (pick == 1) {
+                next = testblocks::random(rng);
+            }
+            now = r.complete + 10;
+            memory.write(ctrl, addr, next, now, r.wasUncompressed);
+        }
+    }
+    EXPECT_GT(ctrl.erStats().entryReuses, 0u);
+    EXPECT_GT(ctrl.erStats().entryFrees, 0u);
+
+    const CoperCodec coper(ctrl.codec());
+    const MemoryController::ContentSource content = memory.source();
+    FlatSet entries;
+    u64 raw = 0;
+    for (const auto &[addr, rec] : table) {
+        if (rec.stored != Stored::Raw)
+            continue;
+        ++raw;
+        ASSERT_TRUE(ctrl.region().valid(rec.entry)) << "addr " << addr;
+        EXPECT_TRUE(entries.insert(rec.entry)) << "addr " << addr;
+        const CacheBlock &data = content(addr);
+        const CacheBlock stored =
+            coper.encodeIncompressible(data, rec.entry).stored;
+        const CoperDecodeResult back =
+            coper.reconstruct(stored, ctrl.region().entryAt(rec.entry));
+        EXPECT_EQ(back.data, data) << "addr " << addr;
+        EXPECT_FALSE(back.blockEcc.corrected()) << "addr " << addr;
+        EXPECT_FALSE(back.blockEcc.uncorrectable()) << "addr " << addr;
+    }
+    EXPECT_GT(raw, 0u);
+    EXPECT_EQ(ctrl.region().validEntries(), raw);
+}
+
 TEST_F(ControllerTest, CopErUncompressedReadCostsEntryFetch)
 {
     CopErController ctrl(*dram, source(), 4, 1 << 14);

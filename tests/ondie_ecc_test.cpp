@@ -412,9 +412,13 @@ TEST(OndieEcc, CopErAdaptiveReleasesDrainedEntryBlocks)
     DramConfig dcfg;
     dcfg.refreshEnabled = false;
     DramSystem dram(dcfg);
-    TestMemory memory(pool);
-    CopErController ctrl(dram, memory.source());
+    CopErController ctrl(dram, [&](Addr a) -> const CacheBlock & {
+        return pool.blockForRef(a);
+    });
     ctrl.enableAdaptiveCapacity();
+    // Armed before the first store, so stores keep their images and the
+    // closing reads rebuild raw blocks from their region entries.
+    ctrl.enableFaultInjection(RecoveryConfig{});
 
     CacheBlock noise{};
     Rng rng(23);
@@ -426,7 +430,7 @@ TEST(OndieEcc, CopErAdaptiveReleasesDrainedEntryBlocks)
     std::vector<Addr> addrs;
     for (unsigned i = 0; i < EccRegion::kEntriesPerBlock; ++i) {
         const Addr a = static_cast<Addr>(i) * kBlockBytes;
-        memory.write(ctrl, a, noise, 0, false);
+        ctrl.writeback(a, noise, 0, false);
         addrs.push_back(a);
     }
     ASSERT_EQ(ctrl.region().validEntries(),
@@ -435,14 +439,14 @@ TEST(OndieEcc, CopErAdaptiveReleasesDrainedEntryBlocks)
 
     // Drain it: every block re-compresses, entries free one by one.
     for (const Addr a : addrs)
-        memory.write(ctrl, a, zeros, 1000, true);
+        ctrl.writeback(a, zeros, 1000, true);
     EXPECT_EQ(ctrl.region().validEntries(), 0u);
     EXPECT_TRUE(ctrl.entryBlockReleased(0));
     EXPECT_EQ(ctrl.adaptiveStats().slotsReclaimed, 1u);
 
     // Demote: one block turns incompressible again; its allocation
     // lands in the released entry block and evicts the data victim.
-    memory.write(ctrl, addrs[0], noise, 2000, false);
+    ctrl.writeback(addrs[0], noise, 2000, false);
     EXPECT_FALSE(ctrl.entryBlockReleased(0));
     EXPECT_EQ(ctrl.adaptiveStats().demotions, 1u);
     // Read-your-writes still holds through the whole cycle.

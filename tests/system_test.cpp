@@ -300,24 +300,5 @@ TEST(SystemDeathTest, FillOfAStaleCopyPanics)
                             "0, current 1");
 }
 
-TEST(SystemDeathTest, EnablingFaultsAfterAnyStoreIsFatal)
-{
-    // With faults off every controller stores a status, not an image,
-    // so faults armed afterwards would have nothing to strike.
-    const BlockContentPool pool(WorkloadRegistry::byName("gcc"));
-    DramSystem dram(DramConfig{});
-    for (const ControllerKind kind : kAllKinds) {
-        const auto ctrl = makeController(
-            kind, dram,
-            [&](Addr a) -> const CacheBlock & { return pool.blockForRef(a); },
-            4, 1 << 20);
-        ctrl->writeback(0, pool.blockFor(0), 0, false);
-        EXPECT_DEATH(ctrl->enableFaultInjection(RecoveryConfig{}),
-                     "fault injection must be enabled before the first "
-                     "store")
-            << controllerKindName(kind);
-    }
-}
-
 } // namespace
 } // namespace cop
