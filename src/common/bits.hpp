@@ -108,8 +108,10 @@ getBits(std::span<const u8> buf, unsigned pos, unsigned count)
     u64 lo = 0;
     std::memcpy(&lo, buf.data() + byte, need < 8 ? need : 8);
     u64 value = lo >> off;
+    // A ninth byte is the field's last byte, byte + 8; indexing it from
+    // the field's end keeps it visibly inside a buffer the field fits.
     if (need > 8)
-        value |= static_cast<u64>(buf[byte + 8]) << (64 - off);
+        value |= static_cast<u64>(buf[(pos + count - 1) / 8]) << (64 - off);
     return count == 64 ? value : (value & ((1ULL << count) - 1));
 }
 
@@ -138,11 +140,12 @@ setBits(std::span<u8> buf, unsigned pos, unsigned count, u64 value)
     word = (word & ~lo_mask) | ((value << off) & lo_mask);
     std::memcpy(buf.data() + byte, &word, lo_bytes);
     if (lo_bits < count) {
+        // The spill byte byte + 8 is the field's last byte (see getBits).
+        u8 &last = buf[(pos + count - 1) / 8];
         const unsigned hi_bits = count - lo_bits;
         const u8 hi_mask = static_cast<u8>((1u << hi_bits) - 1);
-        buf[byte + 8] = static_cast<u8>(
-            (buf[byte + 8] & ~hi_mask) |
-            (static_cast<u8>(value >> lo_bits) & hi_mask));
+        last = static_cast<u8>((last & ~hi_mask) |
+                               (static_cast<u8>(value >> lo_bits) & hi_mask));
     }
 }
 

@@ -8,7 +8,9 @@
 #ifndef COP_COMMON_RNG_HPP
 #define COP_COMMON_RNG_HPP
 
+#include <algorithm>
 #include <array>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -84,6 +86,24 @@ class Rng
 
     std::array<u64, 4> state_;
 };
+
+/**
+ * Draw @p flips distinct integers below @p bits into @p out, in draw
+ * order: one rng.below(bits) per attempt, a repeat drawn again. Every
+ * uniform fault pattern in the reliability models comes from here.
+ */
+inline void
+drawDistinct(Rng &rng, unsigned bits, unsigned flips,
+             std::vector<unsigned> &out)
+{
+    COP_ASSERT(flips <= bits);
+    out.clear();
+    while (out.size() < flips) {
+        const auto b = static_cast<unsigned>(rng.below(bits));
+        if (std::find(out.begin(), out.end(), b) == out.end())
+            out.push_back(b);
+    }
+}
 
 } // namespace cop
 

@@ -1,12 +1,10 @@
 #include "reliability/error_model.hpp"
 
-#include <algorithm>
 #include <map>
 #include <mutex>
-#include <string>
 
-#include "common/rng.hpp"
 #include "ecc/secded.hpp"
+#include "reliability/pattern_model.hpp"
 
 namespace cop {
 
@@ -34,20 +32,38 @@ doubleAcrossWords(double p, unsigned word_bits, unsigned words)
 }
 
 /**
- * Word layout of one protection class for the pattern classifier:
- * which SECDED code guards each word, how a stored-bit index maps to
- * (word, codeword position), below which codeword position a residual
- * flip corrupts *data* (check residue is invisible to the data-compare
- * oracle), and COP's minimum valid-codeword count (0 = no threshold).
+ * Word geometry of one protection class, the one table behind the
+ * closed forms, the pattern classifier and the stored-bit count: the
+ * SECDED code guarding each of the block's words, COP's minimum
+ * valid-codeword count (0 = no threshold), and whether the check bits
+ * sit inline after each word's data or after all the data.
  */
 struct ClassGeometry
 {
     const HsiaoCode *code;
     unsigned words;
-    unsigned dataPosLimit;
     unsigned validThreshold;
-    /** Stored-bit index -> (word, codeword position). */
-    void (*locate)(unsigned bit, unsigned &word, unsigned &pos);
+    bool checkBitsAppended;
+
+    unsigned storedBits() const { return words * code->codeBits(); }
+
+    WordLayout
+    layout() const
+    {
+        return {code->dataBits(), code->codeBits(),
+                checkBitsAppended ? words * code->dataBits() : 0};
+    }
+
+    /**
+     * COP counts valid codewords first: with @p invalid words failing,
+     * a block below the threshold is misclassified as raw and handed
+     * over undecoded (Section 3.1).
+     */
+    bool
+    misclassified(unsigned invalid) const
+    {
+        return validThreshold != 0 && words - invalid < validThreshold;
+    }
 };
 
 ClassGeometry
@@ -55,36 +71,15 @@ geometryOf(VulnClass cls)
 {
     switch (cls) {
       case VulnClass::EccDimm:
-        // 512 data bits in 8x64 + 64 check bits appended 8 per word.
-        return {&codes::dimm72(), 8, 64, 0,
-                [](unsigned b, unsigned &w, unsigned &p) {
-                    if (b < 512) {
-                        w = b / 64;
-                        p = b % 64;
-                    } else {
-                        w = (b - 512) / 8;
-                        p = 64 + (b - 512) % 8;
-                    }
-                }};
+        // 512 data bits in 8x64, then the 64 check bits 8 per word.
+        return {&codes::dimm72(), 8, 0, true};
       case VulnClass::CopProtected4:
-        return {&codes::full128(), 4, 120, 3,
-                [](unsigned b, unsigned &w, unsigned &p) {
-                    w = b / 128;
-                    p = b % 128;
-                }};
+        return {&codes::full128(), 4, 3, false};
       case VulnClass::CopProtected8:
-        return {&codes::short64(), 8, 56, 5,
-                [](unsigned b, unsigned &w, unsigned &p) {
-                    w = b / 64;
-                    p = b % 64;
-                }};
+        return {&codes::short64(), 8, 5, false};
       case VulnClass::WideCode:
       case VulnClass::CopErUncompressed:
-        return {&codes::wide523(), 1, 512, 0,
-                [](unsigned b, unsigned &w, unsigned &p) {
-                    w = 0;
-                    p = b;
-                }};
+        return {&codes::wide523(), 1, 0, false};
       case VulnClass::Unprotected:
       case VulnClass::kCount:
         break;
@@ -93,6 +88,31 @@ geometryOf(VulnClass cls)
 }
 
 } // namespace
+
+ConditionalOutcome
+tallyOutcomes(Rng &rng, unsigned bits, unsigned flips, u64 trials,
+              const std::function<std::optional<OutcomeKind>(
+                  const std::vector<unsigned> &)> &classify)
+{
+    std::vector<unsigned> pattern;
+    u64 tally[4] = {0, 0, 0, 0};
+    u64 counted = 0;
+    for (u64 t = 0; t < trials; ++t) {
+        drawDistinct(rng, bits, flips, pattern);
+        if (const std::optional<OutcomeKind> kind = classify(pattern)) {
+            ++tally[static_cast<unsigned>(*kind)];
+            ++counted;
+        }
+    }
+    ConditionalOutcome out;
+    if (counted > 0) {
+        out.benign = static_cast<double>(tally[0]) / counted;
+        out.corrected = static_cast<double>(tally[1]) / counted;
+        out.detected = static_cast<double>(tally[2]) / counted;
+        out.silent = static_cast<double>(tally[3]) / counted;
+    }
+    return out;
+}
 
 ExposureOutcome
 ErrorRateModel::outcome(VulnClass cls, double cycles) const
@@ -111,31 +131,18 @@ ErrorRateModel::outcome(VulnClass cls, double cycles) const
     const double p = params_.bitFlipProbability(cycles);
     ExposureOutcome out;
 
-    switch (cls) {
-      case VulnClass::Unprotected:
+    if (cls == VulnClass::Unprotected) {
         out.silent = 512.0 * p;
-        break;
-      case VulnClass::EccDimm:
-        out.detected = doubleInOneWord(p, 72, 8);
-        break;
-      case VulnClass::CopProtected4:
-        out.detected = doubleInOneWord(p, 128, 4);
-        out.silent = doubleAcrossWords(p, 128, 4);
-        break;
-      case VulnClass::CopProtected8:
-        // Pairs in distinct words are corrected (threshold 5-of-8);
-        // only same-word doubles are lost, and they are detected.
-        out.detected = doubleInOneWord(p, 64, 8);
-        break;
-      case VulnClass::WideCode:
-      case VulnClass::CopErUncompressed:
-        out.detected = doubleInOneWord(p, 523, 1);
-        break;
-      case VulnClass::kCount:
-        COP_PANIC("bad vuln class");
+        return out;
     }
-    out.silent *= window_scale;
-    out.detected *= window_scale;
+    // Singles are corrected; a pair in one word is a detected double; a
+    // pair across words is two corrected singles unless it leaves too
+    // few valid codewords for COP's threshold, and then it is silent.
+    const ClassGeometry geo = geometryOf(cls);
+    const unsigned n = geo.code->codeBits();
+    out.detected = doubleInOneWord(p, n, geo.words) * window_scale;
+    if (geo.misclassified(2))
+        out.silent = doubleAcrossWords(p, n, geo.words) * window_scale;
     return out;
 }
 
@@ -172,70 +179,30 @@ ErrorRateModel::conditionalOutcome(VulnClass cls, unsigned flips)
             return it->second;
 
         constexpr u64 kTrials = 200000;
-        const unsigned nbits = storedBitsOf(cls);
-        COP_ASSERT(flips <= nbits);
         Rng rng(0x0D1ECA57ULL ^ (static_cast<u64>(cls) << 32) ^ flips);
-        std::vector<unsigned> bits;
-        u64 tally[4] = {0, 0, 0, 0};
-        for (u64 t = 0; t < kTrials; ++t) {
-            bits.clear();
-            while (bits.size() < flips) {
-                const auto b = static_cast<unsigned>(rng.below(nbits));
-                if (std::find(bits.begin(), bits.end(), b) == bits.end())
-                    bits.push_back(b);
-            }
-            ++tally[static_cast<unsigned>(classifyPattern(cls, bits))];
-        }
-        out.benign = static_cast<double>(tally[0]) / kTrials;
-        out.corrected = static_cast<double>(tally[1]) / kTrials;
-        out.detected = static_cast<double>(tally[2]) / kTrials;
-        out.silent = static_cast<double>(tally[3]) / kTrials;
+        out = tallyOutcomes(rng, storedBitsOf(cls), flips, kTrials,
+                            [cls](const std::vector<unsigned> &bits) {
+                                return classifyPattern(cls, bits);
+                            });
         cache.emplace(key, out);
         return out;
     }
 
     // Two uniform flips over N stored bits split into n words of w
-    // bits: P(same word) = n * C(w,2) / C(N,2).
-    const auto sameWord = [](unsigned w, unsigned n, unsigned N) {
-        const double word_pairs = 0.5 * w * (w - 1) * n;
-        const double all_pairs = 0.5 * static_cast<double>(N) * (N - 1);
-        return word_pairs / all_pairs;
-    };
-    switch (cls) {
-      case VulnClass::EccDimm: {
-        // Eight (72,64) words over 576 stored bits; a cross-word pair
-        // is two correctable singles.
-        const double same = sameWord(72, 8, 576);
-        out.detected = same;
-        out.corrected = 1.0 - same;
-        break;
-      }
-      case VulnClass::CopProtected4: {
-        // Four (128,120) words; a cross-word pair leaves only two
-        // zero-syndrome words, below the 3-of-4 threshold, so the
-        // block is misclassified as raw -> silent (Section 3.1).
-        const double same = sameWord(128, 4, 512);
-        out.detected = same;
+    // bits: P(same word) = n * C(w,2) / C(N,2). A same-word pair is a
+    // detected double; a cross-word pair is silent below COP's
+    // threshold and two corrected singles otherwise.
+    const ClassGeometry geo = geometryOf(cls);
+    const unsigned w = geo.code->codeBits();
+    const unsigned N = geo.storedBits();
+    const double word_pairs = 0.5 * w * (w - 1) * geo.words;
+    const double all_pairs = 0.5 * static_cast<double>(N) * (N - 1);
+    const double same = word_pairs / all_pairs;
+    out.detected = same;
+    if (geo.misclassified(2))
         out.silent = 1.0 - same;
-        break;
-      }
-      case VulnClass::CopProtected8: {
-        // Eight (64,56) words with a 5-of-8 threshold: cross-word
-        // pairs are two corrected singles, same-word pairs a DUE.
-        const double same = sameWord(64, 8, 512);
-        out.detected = same;
+    else
         out.corrected = 1.0 - same;
-        break;
-      }
-      case VulnClass::WideCode:
-      case VulnClass::CopErUncompressed:
-        // One (523,512) word: every double is a detected double.
-        out.detected = 1.0;
-        break;
-      case VulnClass::Unprotected:
-      case VulnClass::kCount:
-        COP_PANIC("bad vuln class");
-    }
     return out;
 }
 
@@ -249,64 +216,35 @@ ErrorRateModel::classifyPattern(VulnClass cls,
         return OutcomeKind::Silent; // all 512 stored bits are data
 
     const ClassGeometry geo = geometryOf(cls);
-    const unsigned nbits = storedBitsOf(cls);
+    const WordLayout layout = geo.layout();
+    for (const unsigned b : bits)
+        COP_ASSERT(b < geo.storedBits());
 
-    // Gather the flips of each word as codeword positions; patterns
-    // are tiny, so a per-word rescan beats allocating buckets.
     bool any_uncorrectable = false;
     bool any_corrected = false;
     bool wrong_data = false;
     unsigned invalid_words = 0;
     std::vector<unsigned> pos;
     for (unsigned w = 0; w < geo.words; ++w) {
-        pos.clear();
-        for (const unsigned b : bits) {
-            COP_ASSERT(b < nbits);
-            unsigned bw, bp;
-            geo.locate(b, bw, bp);
-            if (bw == w)
-                pos.push_back(bp);
-        }
-        if (pos.empty())
-            continue;
-
-        u32 syn = 0;
-        for (const unsigned p : pos)
-            syn ^= geo.code->column(p);
-        if (syn == 0) {
-            // Flips form a codeword of the word's code: the decoder
-            // sees a clean word and every flip survives (alias).
-            for (const unsigned p : pos)
-                wrong_data |= p < geo.dataPosLimit;
-            continue;
-        }
-        ++invalid_words;
-        const int fix = geo.code->bitForSyndrome(syn);
-        if (fix < 0) {
+        const SecFix fix = resolveSecWord(*geo.code, layout, bits, w, pos);
+        if (fix != SecFix::Clean)
+            ++invalid_words;
+        if (fix == SecFix::Unmatched) {
             any_uncorrectable = true;
             continue;
         }
-        // Single-error signature: the decoder flips bit `fix`. For a
-        // lone flip that undoes it; for multi-flip words `fix` is (all
-        // but degenerately) a *new* position — a miscorrection whose
-        // residue is flips (+) {fix}.
-        any_corrected = true;
-        const auto it =
-            std::find(pos.begin(), pos.end(), static_cast<unsigned>(fix));
-        if (it != pos.end())
-            pos.erase(it);
-        else
-            pos.push_back(static_cast<unsigned>(fix));
+        any_corrected |= fix != SecFix::Clean;
+        // An alias (flips forming a codeword) leaves every flip and a
+        // correction its residue; residue in check bits is invisible to
+        // the data-compare oracle.
         for (const unsigned p : pos)
-            wrong_data |= p < geo.dataPosLimit;
+            wrong_data |= p < geo.code->dataBits();
     }
 
-    // COP first counts valid codewords; below the threshold the block
-    // is misclassified as raw and handed over undecoded — the stored
-    // (compressed + hashed) bits are not the data, so it is silent
-    // regardless of where the flips sit (Section 3.1).
-    if (geo.validThreshold != 0 &&
-        geo.words - invalid_words < geo.validThreshold)
+    // Below COP's threshold the stored (compressed + hashed) bits are
+    // handed over as data, so the block is silent regardless of where
+    // the flips sit (Section 3.1).
+    if (geo.misclassified(invalid_words))
         return OutcomeKind::Silent;
     if (any_uncorrectable)
         return OutcomeKind::Detected;
@@ -320,20 +258,8 @@ ErrorRateModel::classifyPattern(VulnClass cls,
 unsigned
 ErrorRateModel::storedBitsOf(VulnClass cls)
 {
-    switch (cls) {
-      case VulnClass::Unprotected:
-      case VulnClass::CopProtected4:
-      case VulnClass::CopProtected8:
-        return 512;
-      case VulnClass::EccDimm:
-        return 576;
-      case VulnClass::WideCode:
-      case VulnClass::CopErUncompressed:
-        return 523;
-      case VulnClass::kCount:
-        break;
-    }
-    COP_PANIC("bad vuln class");
+    return cls == VulnClass::Unprotected ? kBlockBits
+                                         : geometryOf(cls).storedBits();
 }
 
 ErrorRateReport

@@ -1,7 +1,5 @@
 #include "reliability/failure_modes.hpp"
 
-#include <algorithm>
-
 namespace cop {
 
 const char *
@@ -32,17 +30,6 @@ failureModeFieldFraction(FailureMode m)
     COP_PANIC("bad failure mode");
 }
 
-namespace {
-
-void
-pushDistinct(std::vector<unsigned> &bits, unsigned bit)
-{
-    if (std::find(bits.begin(), bits.end(), bit) == bits.end())
-        bits.push_back(bit);
-}
-
-} // namespace
-
 void
 generateFailureFlips(FailureMode m, Rng &rng,
                      std::vector<unsigned> &bits)
@@ -55,9 +42,9 @@ generateFailureFlips(FailureMode m, Rng &rng,
       case FailureMode::SameWordMulti: {
         const unsigned word = rng.below(8);
         const unsigned flips = 2 + rng.below(3); // 2..4
-        while (bits.size() < flips)
-            pushDistinct(bits,
-                         word * 64 + static_cast<unsigned>(rng.below(64)));
+        drawDistinct(rng, 64, flips, bits);
+        for (unsigned &b : bits)
+            b += word * 64;
         return;
       }
       case FailureMode::SingleColumn:
@@ -68,24 +55,20 @@ generateFailureFlips(FailureMode m, Rng &rng,
       case FailureMode::SameRow: {
         // Peripheral/row failure: a dense burst across the block.
         const unsigned flips = 8 + rng.below(57); // 8..64
-        while (bits.size() < flips) {
-            pushDistinct(bits,
-                         static_cast<unsigned>(rng.below(kBlockBits)));
-        }
+        drawDistinct(rng, kBlockBits, flips, bits);
         return;
       }
       case FailureMode::SingleChip: {
         // x8 rank: chip c supplies byte c of every 8-byte beat. Flip
         // 1..8 bits in each of that chip's bytes.
         const unsigned chip = rng.below(8);
+        std::vector<unsigned> lane;
         for (unsigned beat = 0; beat < 8; ++beat) {
             const unsigned base = (beat * 8 + chip) * 8;
             const unsigned flips = 1 + rng.below(8);
-            std::vector<unsigned> lane;
-            while (lane.size() < flips)
-                pushDistinct(lane,
-                             base + static_cast<unsigned>(rng.below(8)));
-            bits.insert(bits.end(), lane.begin(), lane.end());
+            drawDistinct(rng, 8, flips, lane);
+            for (const unsigned b : lane)
+                bits.push_back(base + b);
         }
         return;
       }

@@ -16,6 +16,7 @@
 #include "core/chipkill_codec.hpp"
 #include "core/coper_codec.hpp"
 #include "ecc/secded.hpp"
+#include "reliability/error_model.hpp"
 
 namespace cop {
 
@@ -126,12 +127,28 @@ class FaultInjector
     Rng &rng() { return rng_; }
 
   private:
-    /** Choose @p flips distinct bit positions below @p bits. */
-    void pickBits(unsigned bits, unsigned flips,
-                  std::vector<unsigned> &out);
+    /** A scheme's verdict on one trial's flip positions. */
+    using Classify =
+        std::function<OutcomeKind(const std::vector<unsigned> &)>;
 
-    /** Uniform distinct-@p flips generator over 512 bits. */
-    FlipGen uniformGen(unsigned flips);
+    /** Uniform generator of @p flips distinct positions below @p bits. */
+    static FlipGen uniformGen(unsigned flips, unsigned bits);
+
+    /**
+     * The trial loop: each trial draws a pattern from @p gen, checks
+     * it against the @p limit-bit image, and counts its verdict.
+     */
+    InjectionOutcome run(const FlipGen &gen, unsigned limit, u64 trials,
+                         const Classify &classify);
+
+    /**
+     * Trials on a COP-family image: an alias-rejected encode has no
+     * image to strike, so its trials are skipped in campaign mode and
+     * fatal otherwise.
+     */
+    InjectionOutcome runEncoded(const CopEncodeResult &enc,
+                                const FlipGen &gen, u64 trials,
+                                const Classify &classify);
 
     Rng rng_;
     bool skipAliasRejected_ = false;

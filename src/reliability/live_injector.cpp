@@ -67,12 +67,7 @@ LiveInjector::poissonEvent(Cycle now)
     const unsigned draw_bits =
         cfg_.ondieEcc ? OndieEcc::extendedBits(nbits) : nbits;
     std::vector<unsigned> bits;
-    bits.reserve(cfg_.flipsPerEvent);
-    while (bits.size() < cfg_.flipsPerEvent) {
-        const unsigned b = static_cast<unsigned>(rng_.below(draw_bits));
-        if (std::find(bits.begin(), bits.end(), b) == bits.end())
-            bits.push_back(b);
-    }
+    drawDistinct(rng_, draw_bits, cfg_.flipsPerEvent, bits);
     if (!cfg_.ondieEcc) {
         ctl_.injectFault(addr, bits, now, false);
         return;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "common/rng.hpp"
 #include "ecc/secded.hpp"
+#include "reliability/pattern_model.hpp"
 
 namespace cop {
 
@@ -13,64 +13,24 @@ OndieEcc::filter(unsigned stored_bits,
                  std::vector<unsigned> &out)
 {
     out.clear();
-    const HammingCode &code = codes::ondie136();
-    const unsigned nwords = words(stored_bits);
-
-    // Word index of one raw (extended-geometry) flip.
-    const auto word_of = [&](unsigned r) {
-        return r < stored_bits ? r / kWordBits
-                               : (r - stored_bits) / kCheckBitsPerWord;
-    };
-    // Codeword position of one raw flip within its word.
-    const auto pos_of = [&](unsigned r) {
-        return r < stored_bits ? r % kWordBits
-                               : kWordBits + (r - stored_bits) %
-                                                 kCheckBitsPerWord;
-    };
-
-    std::vector<unsigned> struck;
-    for (const unsigned r : raw_flips) {
+    for (const unsigned r : raw_flips)
         COP_ASSERT(r < extendedBits(stored_bits));
-        const unsigned w = word_of(r);
-        COP_ASSERT(w < nwords);
-        if (std::find(struck.begin(), struck.end(), w) == struck.end())
-            struck.push_back(w);
-    }
+    const HammingCode &code = codes::ondie136();
+    // Raw flips below stored_bits address the stored image; the hidden
+    // check bits follow, 8 per word.
+    const WordLayout layout{kWordBits, kWordBits + kCheckBitsPerWord,
+                            stored_bits};
 
     bool miscorrected = false;
     std::vector<unsigned> pos;
-    for (const unsigned w : struck) {
-        pos.clear();
-        for (const unsigned r : raw_flips)
-            if (word_of(r) == w)
-                pos.push_back(pos_of(r));
-
-        u32 syn = 0;
-        for (const unsigned p : pos)
-            syn ^= code.column(p);
-        if (syn != 0) {
-            const int fix = code.bitForSyndrome(syn);
-            if (fix >= 0) {
-                // The chip flips bit `fix`. A lone flip is undone (the
-                // syndrome of a single flip is its own column); with
-                // two or more flips the matched column is never one of
-                // them, so the SEC *adds* a flip — a miscorrection
-                // forwarded to the host.
-                const auto it = std::find(pos.begin(), pos.end(),
-                                          static_cast<unsigned>(fix));
-                if (it != pos.end()) {
-                    pos.erase(it);
-                } else {
-                    pos.push_back(static_cast<unsigned>(fix));
-                    miscorrected = true;
-                }
-            }
-            // No column match: detected on die, but the chip has no
-            // reporting channel — the word forwards unchanged.
-        }
-        // syn == 0 with flips present: the flips alias to a valid
-        // on-die codeword and forward unchanged.
-
+    for (unsigned w = 0; w < words(stored_bits); ++w) {
+        // An aliasing word forwards unchanged, and so does one with no
+        // column match: detected on die, but the chip has no reporting
+        // channel. A matched column is undone for a lone flip; with two
+        // or more flips the SEC adds one, forwarded to the host.
+        miscorrected |=
+            resolveSecWord(code, layout, raw_flips, w, pos) ==
+            SecFix::Added;
         for (const unsigned p : pos) {
             if (p >= kWordBits)
                 continue; // residue in hidden check bits: invisible
@@ -92,48 +52,33 @@ OndieEcc::filter(unsigned stored_bits,
 OndieModelResult
 OndieEcc::model(VulnClass cls, unsigned raw_flips, u64 trials, u64 seed)
 {
+    COP_ASSERT(raw_flips > 0 && trials > 0);
     const unsigned stored = ErrorRateModel::storedBitsOf(cls);
-    const unsigned ext = extendedBits(stored);
-    COP_ASSERT(raw_flips > 0 && raw_flips <= ext && trials > 0);
 
     Rng rng(seed);
-    std::vector<unsigned> raw;
     std::vector<unsigned> fwd;
     u64 corrected = 0, miscorrected = 0, forwarded = 0;
-    u64 tally[4] = {0, 0, 0, 0};
-    for (u64 t = 0; t < trials; ++t) {
-        raw.clear();
-        while (raw.size() < raw_flips) {
-            const auto r = static_cast<unsigned>(rng.below(ext));
-            if (std::find(raw.begin(), raw.end(), r) == raw.end())
-                raw.push_back(r);
-        }
-        switch (filter(stored, raw, fwd)) {
-          case OndieOutcome::Corrected:
-            ++corrected;
-            continue;
-          case OndieOutcome::Miscorrected:
-            ++miscorrected;
-            break;
-          case OndieOutcome::Forwarded:
-            ++forwarded;
-            break;
-        }
-        ++tally[static_cast<unsigned>(
-            ErrorRateModel::classifyPattern(cls, fwd))];
-    }
-
     OndieModelResult res;
+    res.onArrival = tallyOutcomes(
+        rng, extendedBits(stored), raw_flips, trials,
+        [&](const std::vector<unsigned> &raw)
+            -> std::optional<OutcomeKind> {
+            switch (filter(stored, raw, fwd)) {
+              case OndieOutcome::Corrected:
+                ++corrected;
+                return std::nullopt;
+              case OndieOutcome::Miscorrected:
+                ++miscorrected;
+                break;
+              case OndieOutcome::Forwarded:
+                ++forwarded;
+                break;
+            }
+            return ErrorRateModel::classifyPattern(cls, fwd);
+        });
     res.correctedOnDie = static_cast<double>(corrected) / trials;
     res.miscorrectedOnDie = static_cast<double>(miscorrected) / trials;
     res.forwardedOnDie = static_cast<double>(forwarded) / trials;
-    const u64 arrived = miscorrected + forwarded;
-    if (arrived > 0) {
-        res.onArrival.benign = static_cast<double>(tally[0]) / arrived;
-        res.onArrival.corrected = static_cast<double>(tally[1]) / arrived;
-        res.onArrival.detected = static_cast<double>(tally[2]) / arrived;
-        res.onArrival.silent = static_cast<double>(tally[3]) / arrived;
-    }
     return res;
 }
 

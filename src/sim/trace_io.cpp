@@ -1,6 +1,5 @@
 #include "sim/trace_io.hpp"
 
-#include <istream>
 #include <ostream>
 #include <unordered_set>
 
@@ -85,13 +84,6 @@ summarizeTrace(TraceSource &src)
     }
     summary.distinctBlocks = blocks.size();
     return summary;
-}
-
-TraceSummary
-summarizeTrace(std::istream &in)
-{
-    BinaryTraceSource src(in);
-    return summarizeTrace(static_cast<TraceSource &>(src));
 }
 
 u64

@@ -19,9 +19,8 @@
  * constructor when known. finish() is fatal if the sink failed — a
  * disk-full capture can no longer masquerade as a complete trace.
  *
- * Reading lives in src/trace/ (TraceSource and friends): this header
- * keeps TraceReader as an alias of the binary reader so existing
- * capture/summarise call sites stay source-compatible.
+ * Reading lives in src/trace/ (TraceSource and friends; the binary
+ * reader is BinaryTraceSource).
  */
 
 #ifndef COP_SIM_TRACE_IO_HPP
@@ -31,7 +30,7 @@
 #include <iosfwd>
 #include <string>
 
-#include "trace/binary_source.hpp"
+#include "trace/trace_source.hpp"
 #include "workloads/trace_gen.hpp"
 
 namespace cop {
@@ -74,12 +73,6 @@ class TraceWriter
     bool finished_ = false;
 };
 
-/**
- * Binary trace reader. The implementation moved to trace/ — this alias
- * keeps old call sites compiling (note: the epoch step is `next()`).
- */
-using TraceReader = BinaryTraceSource;
-
 /** Summary statistics of a trace (the trace_tool report). */
 struct TraceSummary
 {
@@ -107,9 +100,6 @@ struct TraceSummary
 
 /** Scan any trace source and summarise it. */
 TraceSummary summarizeTrace(TraceSource &src);
-
-/** Scan a binary trace stream and summarise it. */
-TraceSummary summarizeTrace(std::istream &in);
 
 /** Capture @p epochs epochs of a synthetic workload to @p out. */
 u64 captureTrace(const WorkloadProfile &profile, unsigned core_id,

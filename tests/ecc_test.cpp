@@ -99,8 +99,11 @@ INSTANTIATE_TEST_SUITE_P(
                       &codes::validBits512()),
     [](const ::testing::TestParamInfo<const HsiaoCode *> &info) {
         const HsiaoCode &c = *info.param;
-        return "n" + std::to_string(c.codeBits()) + "k" +
-               std::to_string(c.dataBits());
+        std::string name = "n";
+        name += std::to_string(c.codeBits());
+        name += "k";
+        name += std::to_string(c.dataBits());
+        return name;
     });
 
 TEST(HsiaoGeometry, ColumnOrderMatchesFullScanEnumeration)

@@ -232,31 +232,29 @@ TEST(OndieEcc, ClassifyPatternMatchesClosedFormsAtTwoFlips)
     EXPECT_EQ(M::classifyPattern(VulnClass::Unprotected, {}),
               OutcomeKind::Benign);
 
-    // Distribution check: the empirical split of classifyPattern over
-    // uniform 2-flip patterns must reproduce the exact closed form —
-    // the same agreement the 3+-flip Monte-Carlo path relies on.
-    Rng rng(5);
+    // Exhaustive check: classifyPattern over every pair of stored bits
+    // must reproduce the exact closed form, which pins the two-flip
+    // rule against the column-algebra classifier.
     for (const VulnClass cls :
          {VulnClass::EccDimm, VulnClass::CopProtected4,
-          VulnClass::CopProtected8, VulnClass::WideCode}) {
+          VulnClass::CopProtected8, VulnClass::WideCode,
+          VulnClass::CopErUncompressed}) {
         const unsigned stored = M::storedBitsOf(cls);
-        constexpr unsigned kTrials = 20000;
         double tally[4] = {0, 0, 0, 0};
-        for (unsigned t = 0; t < kTrials; ++t) {
-            const auto a = static_cast<unsigned>(rng.below(stored));
-            auto b = static_cast<unsigned>(rng.below(stored - 1));
-            if (b >= a)
-                ++b;
-            tally[static_cast<unsigned>(
-                M::classifyPattern(cls, {a, b}))] += 1.0 / kTrials;
-        }
+        for (unsigned a = 0; a < stored; ++a)
+            for (unsigned b = a + 1; b < stored; ++b)
+                ++tally[static_cast<unsigned>(
+                    M::classifyPattern(cls, {a, b}))];
+        const double pairs = 0.5 * stored * (stored - 1);
         const ConditionalOutcome exact = M::conditionalOutcome(cls, 2);
-        // 3-sigma for kTrials Bernoulli draws is under 0.011.
-        EXPECT_NEAR(tally[0], exact.benign, 0.015)
+        EXPECT_NEAR(tally[0] / pairs, exact.benign, 1e-12)
             << "cls " << static_cast<int>(cls);
-        EXPECT_NEAR(tally[1], exact.corrected, 0.015);
-        EXPECT_NEAR(tally[2], exact.detected, 0.015);
-        EXPECT_NEAR(tally[3], exact.silent, 0.015);
+        EXPECT_NEAR(tally[1] / pairs, exact.corrected, 1e-12)
+            << "cls " << static_cast<int>(cls);
+        EXPECT_NEAR(tally[2] / pairs, exact.detected, 1e-12)
+            << "cls " << static_cast<int>(cls);
+        EXPECT_NEAR(tally[3] / pairs, exact.silent, 1e-12)
+            << "cls " << static_cast<int>(cls);
     }
 }
 

@@ -201,7 +201,9 @@ INSTANTIATE_TEST_SUITE_P(
                       &codes::short64(), &codes::wide523(),
                       &codes::validBits512()),
     [](const ::testing::TestParamInfo<const HsiaoCode *> &info) {
-        return "n" + std::to_string(info.param->codeBits());
+        std::string name = "n";
+        name += std::to_string(info.param->codeBits());
+        return name;
     });
 
 TEST(CombinedProperty, PayloadBitsBeyondStreamAreZero)

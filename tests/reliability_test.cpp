@@ -303,6 +303,19 @@ TEST(FaultInjector, PatternFlipPastImageDies)
                  "outside the 512-bit stored image");
 }
 
+TEST(FaultInjector, UniformDrawPastStoredBitsDies)
+{
+    // More distinct flips than stored bits cannot be drawn; the draw
+    // must fail loudly rather than loop forever.
+    const CopCodec codec(CopConfig::fourByte());
+    FaultInjector inj(23);
+    Rng rng(24);
+    const CacheBlock data = testblocks::similarWords(rng);
+    EXPECT_DEATH(inj.injectCop(codec, data, kBlockBits + 1, 1),
+                 "flips <= bits");
+    EXPECT_DEATH(inj.injectEccDimm(data, 577, 1), "flips <= bits");
+}
+
 TEST(ErrorModel, ConditionalOutcomeMatchesGeometry)
 {
     using M = ErrorRateModel;

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "sim/trace_io.hpp"
+#include "trace/binary_source.hpp"
 
 namespace cop {
 namespace {
@@ -34,7 +35,7 @@ TEST(TraceIo, WriteReadRoundTrip)
         writer.write(epochOf(42, {}));
         EXPECT_EQ(writer.epochsWritten(), 3u);
     }
-    TraceReader reader(buf);
+    BinaryTraceSource reader(buf);
     Epoch e;
     ASSERT_TRUE(reader.next(e));
     EXPECT_EQ(e.instructions, 1000u);
@@ -61,7 +62,7 @@ TEST(TraceIo, BackPatchesDeclaredEpochCount)
         writer.write(epochOf(20, {{64, true}}));
         // finish() runs on destruction and patches the header.
     }
-    TraceReader reader(buf);
+    BinaryTraceSource reader(buf);
     EXPECT_EQ(reader.declaredEpochs(), 2u);
     Epoch e;
     ASSERT_TRUE(reader.next(e));
@@ -76,7 +77,7 @@ TEST(TraceIo, ExplicitFinishIsIdempotent)
     writer.write(epochOf(10, {}));
     writer.finish();
     writer.finish();
-    TraceReader reader(buf);
+    BinaryTraceSource reader(buf);
     EXPECT_EQ(reader.declaredEpochs(), 1u);
 }
 
@@ -97,7 +98,7 @@ TEST(TraceIo, DetectsTruncationAtEpochBoundary)
     const std::string truncated = full.substr(0, 16 + 2 * 20);
 
     std::stringstream cut(truncated);
-    TraceReader reader(cut);
+    BinaryTraceSource reader(cut);
     Epoch e;
     ASSERT_TRUE(reader.next(e));
     ASSERT_TRUE(reader.next(e));
@@ -117,7 +118,7 @@ TEST(TraceIo, ZeroDeclaredCountStillReadsToEof)
     for (int i = 8; i < 16; ++i) // u64 count field of the v2 header
         bytes[i] = 0;
     std::stringstream zeroed(bytes);
-    TraceReader reader(zeroed);
+    BinaryTraceSource reader(zeroed);
     EXPECT_EQ(reader.declaredEpochs(), 0u);
     Epoch e;
     ASSERT_TRUE(reader.next(e));
@@ -128,7 +129,7 @@ TEST(TraceIo, RejectsBadMagic)
 {
     std::stringstream buf;
     buf << "NOTATRACE-------";
-    EXPECT_DEATH({ TraceReader reader(buf); }, "bad magic");
+    EXPECT_DEATH({ BinaryTraceSource reader(buf); }, "bad magic");
 }
 
 TEST(TraceIo, LargeAddressesSurvive)
@@ -139,7 +140,7 @@ TEST(TraceIo, LargeAddressesSurvive)
         TraceWriter writer(buf);
         writer.write(epochOf(1, {{big, true}}));
     }
-    TraceReader reader(buf);
+    BinaryTraceSource reader(buf);
     Epoch e;
     ASSERT_TRUE(reader.next(e));
     EXPECT_EQ(e.accesses[0].addr, big);
@@ -154,7 +155,7 @@ TEST(TraceIo, CaptureMatchesGenerator)
 
     // Replaying must reproduce the generator stream exactly.
     TraceGenerator reference(profile, 0);
-    TraceReader reader(buf);
+    BinaryTraceSource reader(buf);
     Epoch replayed;
     for (int i = 0; i < 100; ++i) {
         ASSERT_TRUE(reader.next(replayed));
@@ -179,7 +180,8 @@ TEST(TraceIo, SummaryStatistics)
         writer.write(epochOf(1000, {{0, false}, {64, true}, {128, false}}));
         writer.write(epochOf(1000, {{128, true}}));
     }
-    const TraceSummary s = summarizeTrace(buf);
+    BinaryTraceSource src(buf);
+    const TraceSummary s = summarizeTrace(src);
     EXPECT_EQ(s.epochs, 2u);
     EXPECT_EQ(s.instructions, 2000u);
     EXPECT_EQ(s.accesses, 4u);
@@ -195,7 +197,8 @@ TEST(TraceIo, SummaryOfCapturedWorkloadMatchesProfile)
     const auto &profile = WorkloadRegistry::byName("lbm");
     std::stringstream buf;
     captureTrace(profile, 0, 3000, buf);
-    const TraceSummary s = summarizeTrace(buf);
+    BinaryTraceSource src(buf);
+    const TraceSummary s = summarizeTrace(src);
     EXPECT_EQ(s.epochs, 3000u);
     EXPECT_NEAR(s.writeFraction(), profile.writeFraction, 0.03);
     EXPECT_NEAR(s.accessesPerKiloInstruction(), profile.l3Apki,

@@ -13,6 +13,7 @@
 #include <sstream>
 
 #include "sim/trace_io.hpp"
+#include "trace/binary_source.hpp"
 #include "trace/fit.hpp"
 #include "trace/format.hpp"
 #include "trace/gzip_source.hpp"
@@ -357,7 +358,8 @@ TEST(TraceSummarySeam, SequentialPairsDoNotSpanEpochBoundaries)
         writer.write(epochOf(100, {{0, false}, {64, false}}));
         writer.write(epochOf(100, {{128, false}, {192, false}}));
     }
-    const TraceSummary s = summarizeTrace(buf);
+    BinaryTraceSource src(buf);
+    const TraceSummary s = summarizeTrace(src);
     EXPECT_EQ(s.sequentialPairs, 2u); // 0->64 and 128->192 only
 }
 
@@ -562,7 +564,8 @@ TEST(TraceFit, RecoversGeneratorParametersFromCapture)
     // The fit measures the trace exactly — its APKI and write fraction
     // must agree with summarizeTrace on the same bytes...
     std::istringstream sum_in(bytes);
-    const TraceSummary s = summarizeTrace(sum_in);
+    BinaryTraceSource sum_src(sum_in);
+    const TraceSummary s = summarizeTrace(sum_src);
     EXPECT_DOUBLE_EQ(fitted.l3Apki, s.accessesPerKiloInstruction());
     EXPECT_DOUBLE_EQ(fitted.writeFraction, s.writeFraction());
     // ...and land near the generating profile's parameters (the
