@@ -1,7 +1,7 @@
 /**
  * @file
  * The figures driver: one table of entries regenerates every figure
- * and table of the paper's evaluation (Figs. 1-13, Table 3, the §4
+ * and table of the paper's evaluation (Figs. 1-12, Table 3, the §4
  * comparisons) plus the repo's ablations and extensions.
  *
  *   figures [name...] [--quick] [--config] [--profile NAME]
@@ -18,9 +18,9 @@
  * is not a System run (codec sweeps, fault-injection Monte Carlo)
  * happens inside the render step, on the runner where it is a grid.
  *
- * Flags: `--quick` shrinks fig13_bandwidth and fault_campaign for the
- * CI perf-smoke job; `--config` prints the Table 1 block in
- * fig11_performance and fig13_bandwidth; `--profile NAME` picks
+ * Flags: `--quick` shrinks fault_campaign for the CI perf-smoke job;
+ * `--config` prints the Table 1 block in fig11_performance;
+ * `--profile NAME` picks
  * trace_replay's benchmark (default mcf). COP_BENCH_EPOCHS sets the
  * epochs per core, COP_BENCH_RESULTS the results directory, and
  * COP_TRACE_STATS=<dir> gives every System cell its own stats trace,
@@ -553,120 +553,6 @@ fig12(Grid &grid, const Options &)
                     "average.\n");
 
         grid.addScalar("avg_storage_reduction", mean(reductions));
-        grid.writeJson();
-        return 0;
-    };
-}
-
-// ---------------------------------------------------------------------
-// Figure 13 (the repo's CRAM-style extension of Fig. 11): IPC and DRAM
-// read latency of COP and COP-ER with and without shortened bursts,
-// on the bandwidth-bound slice of the Table 2 set (mlp >= 5 and
-// APKI >= 12: serialised bus bursts dominate epoch latency). The CI
-// perf-smoke job gates the --quick run's cop_bw_best_speedup
-// (scripts/check_perf.py).
-// ---------------------------------------------------------------------
-Render
-fig13(Grid &grid, const Options &opt)
-{
-    struct Scheme
-    {
-        const char *label;
-        ControllerKind kind;
-        bool bandwidth;
-    };
-    static const Scheme schemes[] = {
-        {"Unprot.", ControllerKind::Unprotected, false},
-        {"COP", ControllerKind::Cop4, false},
-        {"COP+BW", ControllerKind::Cop4, true},
-        {"COP-ER", ControllerKind::CopEr, false},
-        {"COP-ER+BW", ControllerKind::CopEr, true},
-    };
-    std::vector<const WorkloadProfile *> profiles;
-    for (const auto *p : WorkloadRegistry::memoryIntensive()) {
-        if (p->mlp >= 5 && p->l3Apki >= 12)
-            profiles.push_back(p);
-    }
-    const u64 epochs = opt.quick ? 3000 : benchEpochs();
-    for (const auto *p : profiles) {
-        for (const Scheme &s : schemes) {
-            SystemConfig cfg = paperConfig(s.kind);
-            cfg.epochsPerCore = epochs;
-            cfg.bandwidthCompression = s.bandwidth;
-            grid.add(*p, cfg, s.label);
-        }
-    }
-    return [profiles, opt](Grid &grid) {
-        if (opt.config)
-            printTable1();
-        printHeader("Figure 13: IPC normalised to the unprotected system "
-                    "(bandwidth-bound slice)",
-                    {"Unprot.", "COP", "COP+BW", "COP-ER", "COP-ER+BW"});
-
-        std::vector<double> geo_cop, geo_cop_bw, geo_coper, geo_coper_bw;
-        double best_cop_speedup = 0, best_coper_speedup = 0;
-        const WorkloadProfile *best_cop_profile = nullptr;
-        for (const auto *p : profiles) {
-            const double unprot = grid.result(p->name, "Unprot.").ipc;
-            const double cop = grid.result(p->name, "COP").ipc / unprot;
-            const double cop_bw =
-                grid.result(p->name, "COP+BW").ipc / unprot;
-            const double coper =
-                grid.result(p->name, "COP-ER").ipc / unprot;
-            const double coper_bw =
-                grid.result(p->name, "COP-ER+BW").ipc / unprot;
-            printRow(p->name, {1.0, cop, cop_bw, coper, coper_bw});
-            geo_cop.push_back(cop);
-            geo_cop_bw.push_back(cop_bw);
-            geo_coper.push_back(coper);
-            geo_coper_bw.push_back(coper_bw);
-            if (cop_bw / cop > best_cop_speedup) {
-                best_cop_speedup = cop_bw / cop;
-                best_cop_profile = p;
-            }
-            best_coper_speedup =
-                std::max(best_coper_speedup, coper_bw / coper);
-        }
-
-        std::printf("%s\n", std::string(16 + 5 * 13, '-').c_str());
-        printRow("Geomean", {1.0, geomean(geo_cop), geomean(geo_cop_bw),
-                             geomean(geo_coper), geomean(geo_coper_bw)});
-
-        std::printf("\nDRAM avg read latency (cycles) and bus beats "
-                    "saved, COP vs COP+BW\n");
-        std::printf("%-16s %12s %12s %14s %12s\n", "benchmark", "COP",
-                    "COP+BW", "beats saved", "bus util");
-        std::printf("%s\n", std::string(70, '-').c_str());
-        for (const auto *p : profiles) {
-            const SystemResults &base = grid.result(p->name, "COP");
-            const SystemResults &bw = grid.result(p->name, "COP+BW");
-            const double util =
-                bw.cycles > 0
-                    ? static_cast<double>(bw.dram.busBusyCycles) /
-                          (static_cast<double>(bw.cycles) * 2)
-                    : 0.0;
-            std::printf("%-16s %12.1f %12.1f %14llu %11.1f%%\n",
-                        p->name.c_str(), base.dram.avgReadLatency(),
-                        bw.dram.avgReadLatency(),
-                        static_cast<unsigned long long>(bw.dram.beatsSaved),
-                        util * 100.0);
-        }
-
-        if (best_cop_profile != nullptr) {
-            std::printf("\nBest COP+BW speedup over protection-only COP: "
-                        "%.3fx on %s\n",
-                        best_cop_speedup, best_cop_profile->name.c_str());
-        }
-        std::printf("Shortened bursts cut serialised bus occupancy on "
-                    "the high-MLP profiles;\nprotection-only behaviour "
-                    "(and its results JSON) is unchanged.\n");
-
-        grid.addScalar("geomean_cop", geomean(geo_cop));
-        grid.addScalar("geomean_cop_bw", geomean(geo_cop_bw));
-        grid.addScalar("geomean_coper", geomean(geo_coper));
-        grid.addScalar("geomean_coper_bw", geomean(geo_coper_bw));
-        grid.addScalar("cop_bw_best_speedup", best_cop_speedup);
-        grid.addScalar("coper_bw_best_speedup", best_coper_speedup);
         grid.writeJson();
         return 0;
     };
@@ -1306,7 +1192,7 @@ extensionChipkill(Grid &, const Options &opt)
 // ---------------------------------------------------------------------
 // Memory-system energy per kilo-instruction (Section 1's motivation):
 // the ECC DIMM pays a 9th chip everywhere, ECC Reg. extra traffic, COP
-// neither; COP+BW also saves burst and I/O energy on shortened bursts.
+// neither.
 // ---------------------------------------------------------------------
 Render
 energyComparison(Grid &grid, const Options &)
@@ -1321,18 +1207,14 @@ energyComparison(Grid &grid, const Options &)
         const WorkloadProfile &p = WorkloadRegistry::byName(name);
         for (const ControllerKind kind : kinds)
             grid.add(p, kind);
-        SystemConfig bw = paperConfig(ControllerKind::Cop4);
-        bw.bandwidthCompression = true;
-        grid.add(p, bw, "COP+BW");
     }
     return [](Grid &grid) {
         const DramEnergyModel model;
         std::printf("Memory-system energy (nJ per kilo-instruction), "
                     "4-core Table 1 system\n\n");
-        std::printf("%-14s %10s %10s %10s %10s %10s %10s\n", "benchmark",
-                    "Unprot.", "ECC DIMM", "ECC Reg.", "COP", "COP-ER",
-                    "COP+BW");
-        std::printf("%s\n", std::string(81, '-').c_str());
+        std::printf("%-14s %10s %10s %10s %10s %10s\n", "benchmark",
+                    "Unprot.", "ECC DIMM", "ECC Reg.", "COP", "COP-ER");
+        std::printf("%s\n", std::string(70, '-').c_str());
 
         auto njPerKi = [&model](const SystemResults &r, unsigned chips) {
             const DramEnergyReport e =
@@ -1341,7 +1223,7 @@ energyComparison(Grid &grid, const Options &)
                    (static_cast<double>(r.instructions) / 1000.0);
         };
 
-        std::vector<double> sums(6, 0.0);
+        std::vector<double> sums(std::size(kinds), 0.0);
         for (const char *name : names) {
             const WorkloadProfile &p = WorkloadRegistry::byName(name);
             std::printf("%-14s", name);
@@ -1354,23 +1236,18 @@ energyComparison(Grid &grid, const Options &)
                 std::printf(" %10.1f", nj_per_ki);
                 sums[col++] += nj_per_ki;
             }
-            const double bw_nj =
-                njPerKi(grid.result(p.name, "COP+BW"), 8);
-            std::printf(" %10.1f\n", bw_nj);
-            sums[col] += bw_nj;
+            std::printf("\n");
         }
-        std::printf("%s\n", std::string(81, '-').c_str());
+        std::printf("%s\n", std::string(70, '-').c_str());
         std::printf("%-14s", "mean");
         for (const double s : sums)
             std::printf(" %10.1f", s / 4.0);
         std::printf("\n\nECC DIMM pays the 9th chip everywhere (~12.5%% "
                     "dynamic + background);\nECC Reg. pays extra "
-                    "accesses and longer runtime; COP pays neither; "
-                    "COP+BW\nalso saves burst + I/O energy on every "
-                    "shortened transfer.\n");
+                    "accesses and longer runtime; COP pays neither.\n");
 
         static const char *scalars[] = {"unprot", "eccdimm", "eccreg",
-                                        "cop",    "coper",   "cop_bw"};
+                                        "cop", "coper"};
         for (size_t i = 0; i < std::size(scalars); ++i) {
             grid.addScalar(std::string("mean_nj_per_ki_") + scalars[i],
                            sums[i] / 4.0);
@@ -2107,7 +1984,6 @@ constexpr Entry kEntries[] = {
     {"fig10_error_rate", fig10},
     {"fig11_performance", fig11},
     {"fig12_ecc_storage", fig12},
-    {"fig13_bandwidth", fig13},
     {"table3_alias_census", table3},
     {"ecc_dimm_compare", eccDimmCompare},
     {"ablation_threshold", ablationThreshold},

@@ -15,8 +15,6 @@
  *     --decode-latency <n>   COP decode cycles (default 4)
  *     --closed-page          closed-page DRAM row policy
  *     --proactive-alias      alias-check stores at LLC-write time
- *     --bandwidth            ship compressed blocks in shortened bursts
- *     --beat-floor <n>       smallest shortened burst, in beats (1..8)
  *     --trace-stats <file>   write a JSONL stats trace (see
  *                            scripts/agg_stats.py)
  *     --trace-interval <n>   epochs between trace snapshots
@@ -139,12 +137,6 @@ main(int argc, char **argv)
             cfg.dram.rowPolicy = RowPolicy::Closed;
         } else if (arg == "--proactive-alias") {
             cfg.proactiveAliasCheck = true;
-        } else if (arg == "--bandwidth") {
-            cfg.bandwidthCompression = true;
-        } else if (arg == "--beat-floor") {
-            // Range-checked by the System constructor.
-            cfg.bandwidthBeatFloor = static_cast<unsigned>(
-                parsePositiveU64(next(), "--beat-floor"));
         } else if (arg == "--trace-stats") {
             cfg.traceStatsPath = next();
         } else if (arg == "--trace-interval") {

@@ -32,34 +32,20 @@ def nonneg_int(value):
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-BUS_GAUGES = ("dram.bus_read_beats", "dram.bus_write_beats",
-              "dram.bus_beats_saved", "dram.bus_busy_cycles",
-              "dram.bus_turnarounds")
+BUS_GAUGES = ("dram.bus_busy_cycles", "dram.bus_turnarounds")
 
 
 def check_bus_gauges(path, lineno, counters):
     """Validate the bus-utilisation gauges of one snapshot's deltas.
 
     Any trace whose DRAM registered its stats must carry the bus
-    gauges, and beats are conserved: every access is scheduled as an
-    8-beat budget, split between beats actually transferred and beats
-    saved by a shortened burst, so per snapshot
-      delta(read_beats + write_beats) + delta(beats_saved)
-        == 8 * delta(reads + writes).
-    The per-channel busy-cycle gauges must also sum to the total.
+    gauges, and the per-channel busy-cycle gauges must sum to the total.
     """
     if "dram.reads" not in counters:
         return
     for name in BUS_GAUGES:
         if name not in counters:
             fail(path, lineno, f"missing bus gauge {name!r}")
-    beats = counters["dram.bus_read_beats"] + counters["dram.bus_write_beats"]
-    saved = counters["dram.bus_beats_saved"]
-    accesses = counters["dram.reads"] + counters["dram.writes"]
-    if beats + saved != 8 * accesses:
-        fail(path, lineno,
-             f"bus beats not conserved: {beats} transferred + {saved} "
-             f"saved != 8 * {accesses} accesses")
     per_channel = [v for n, v in counters.items()
                    if n.startswith("dram.bus_busy_cycles_ch")]
     if per_channel and sum(per_channel) != counters["dram.bus_busy_cycles"]:

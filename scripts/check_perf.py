@@ -2,19 +2,11 @@
 """CI perf-smoke gate for the codec hot paths and the end-to-end
 simulation loop.
 
-Three independent gates. The first two compare a fresh `--quick` bench
-run against a checked-in baseline at the repo root:
+The throughput gates compare a fresh `--quick` bench run against a
+checked-in baseline at the repo root:
 
   codec   `micro_codec --quick`   vs BENCH_codec.json  ("after")
   system  `micro_system --quick`  vs BENCH_system.json ("after")
-
-The third is self-relative: `figures --quick fig13_bandwidth` records
-the best COP+BW speedup over protection-only COP across the
-bandwidth-bound profiles, and the gate requires it to stay above 1.0 —
-the shortened-burst mode must keep beating protection-only somewhere,
-or the mode has silently stopped shortening. The speedup is a ratio of simulated
-IPCs (deterministic), so unlike the throughput gates it is immune to
-runner noise.
 
 A gate fails when throughput regresses by more than the allowed
 fraction; a gate whose fresh-results file is missing is skipped with a
@@ -38,7 +30,7 @@ whole point of trading byte-identity away — is gated only when the
 recording host had >= 4 CPUs (on smaller hosts a wall speedup is
 physically impossible and the check is skipped loudly).
 
-A fourth gate is fully deterministic: `figures --quick fault_campaign`
+The fault-campaign gate is fully deterministic: `figures --quick fault_campaign`
 records the fraction of injected 2-flip raw events the on-die SEC filter
 miscorrects and the number of ECC-region slots the adaptive-capacity
 mode reclaims. Both are functions of seeded simulation state, so they
@@ -53,7 +45,7 @@ Fresh results come from the perf-smoke job's runs:
   ./build/bench/micro_codec --quick
   ./build/bench/micro_system --quick
   ./build/bench/micro_system --quick --threads 4
-  ./build/bench/figures --quick fig13_bandwidth fault_campaign
+  ./build/bench/figures --quick fault_campaign
 
 Usage: scripts/check_perf.py
          [--codec-baseline BENCH_codec.json]
@@ -62,7 +54,6 @@ Usage: scripts/check_perf.py
          [--system-results bench/results/micro_system.json]
          [--system-threads-results
               bench/results/micro_system_threads.json]
-         [--bandwidth-results bench/results/fig13_bandwidth.json]
          [--fault-results bench/results/fault_campaign.json]
          [--max-regression 0.30]
 """
@@ -103,8 +94,6 @@ def main() -> int:
                         default="bench/results/micro_system.json")
     parser.add_argument("--system-threads-results",
                         default="bench/results/micro_system_threads.json")
-    parser.add_argument("--bandwidth-results",
-                        default="bench/results/fig13_bandwidth.json")
     parser.add_argument("--fault-results",
                         default="bench/results/fault_campaign.json")
     # Back-compat aliases for the original codec-only interface.
@@ -200,24 +189,6 @@ def main() -> int:
                   "applies)")
     else:
         print(f"fast-timing: {args.system_threads_results} not found, "
-              "skipping gate")
-
-    if os.path.exists(args.bandwidth_results):
-        ran_any = True
-        with open(args.bandwidth_results) as f:
-            derived = json.load(f)["derived"]
-        best = float(derived["cop_bw_best_speedup"])
-        verdict = "ok" if best > 1.0 else "FAIL"
-        print(f"bandwidth/cop_bw_best_speedup: {best:.3f}x "
-              f"(must exceed 1.0) ... {verdict}")
-        if best <= 1.0:
-            failed = True
-            print("bandwidth: COP+BW no longer beats protection-only "
-                  "COP on any bandwidth-bound profile — the shortened-"
-                  "burst mode has stopped paying for itself.",
-                  file=sys.stderr)
-    else:
-        print(f"bandwidth: {args.bandwidth_results} not found, "
               "skipping gate")
 
     if os.path.exists(args.fault_results):

@@ -4,7 +4,7 @@
  * record of one table. A System owns one BlockTable and hands it to
  * every core's BlockContentPool (content versions) and to its memory
  * controller (how and at which version each block is stored, write
- * times, transfer sizes), so an L3 fill, its oracle check and a dirty
+ * times), so an L3 fill, its oracle check and a dirty
  * victim's writeback each touch one record instead of probing a
  * separate table per layer. A pool or controller used on its own keeps
  * a private table through the same BlockTableRef.
@@ -64,8 +64,6 @@ struct BlockState
     bool everUncompressed = false;
     /** COP-ER stored the block through a region entry at least once. */
     bool everIncompressible = false;
-    /** Bandwidth-mode burst length of the copy; 0 means a full burst. */
-    u8 beats = 0;
 };
 
 using BlockTable = FlatMap<BlockState>;

@@ -65,31 +65,12 @@ CombinedCompressor::compress(const CacheBlock &block,
     return scheme->id();
 }
 
-BlockClass
-CombinedCompressor::classify(const CacheBlock &block, bool transfer_bits,
-                             unsigned *trials) const
+std::optional<SchemeId>
+CombinedCompressor::classify(const CacheBlock &block, unsigned *trials) const
 {
-    BlockClass out;
-    if (const BlockCompressor *scheme = pick(block, trials)) {
-        out.scheme = scheme->id();
-        if (transfer_bits)
-            out.minCompressedBits = minCompressedBits(block);
-    }
-    return out;
-}
-
-int
-CombinedCompressor::minCompressedBits(const CacheBlock &block) const
-{
-    int best = -1;
-    for (const BlockCompressor *s : views_) {
-        const int bits = s->compressedBits(block);
-        if (bits < 0 || static_cast<unsigned>(bits) > streamBudget())
-            continue;
-        if (best < 0 || bits < best)
-            best = bits;
-    }
-    return best;
+    if (const BlockCompressor *scheme = pick(block, trials))
+        return scheme->id();
+    return std::nullopt;
 }
 
 CacheBlock

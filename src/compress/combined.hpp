@@ -22,18 +22,6 @@
 
 namespace cop {
 
-/** What CombinedCompressor::classify decided about a block. */
-struct BlockClass
-{
-    /** The scheme compress() would pick, or nullopt if incompressible. */
-    std::optional<SchemeId> scheme;
-    /**
-     * minCompressedBits() of a compressible block when asked for, else
-     * -1.
-     */
-    int minCompressedBits = -1;
-};
-
 /**
  * Budget-driven multi-scheme compressor producing tagged payloads.
  *
@@ -78,11 +66,10 @@ class CombinedCompressor
     /**
      * compress() without the payload: the same admission checks in the
      * same order (so the same @p trials count), and the scheme they
-     * pick. With @p transfer_bits, a compressible block also gets its
-     * minCompressedBits().
+     * pick, or std::nullopt if incompressible.
      */
-    BlockClass classify(const CacheBlock &block, bool transfer_bits,
-                        unsigned *trials = nullptr) const;
+    std::optional<SchemeId> classify(const CacheBlock &block,
+                                     unsigned *trials = nullptr) const;
 
     /** True iff any participating scheme fits the budget. */
     bool
@@ -90,16 +77,6 @@ class CombinedCompressor
     {
         return pick(block, trials) != nullptr;
     }
-
-    /**
-     * Smallest in-budget compressedBits() of @p block over all
-     * participating schemes (excluding the tag), or -1 if none fits.
-     * This is the block's information content, which bandwidth mode
-     * sizes a transfer from: budget-driven schemes (RLE) pad their
-     * stream to the full budget, and tag order can pick a scheme with
-     * a larger minimal size than a losing one.
-     */
-    int minCompressedBits(const CacheBlock &block) const;
 
     /** Participating schemes, in tag order. */
     const std::vector<const BlockCompressor *> &schemes() const

@@ -69,8 +69,6 @@ CopCodec::encode(const CacheBlock &data) const
     result.scheme = *scheme;
     result.stored = protectPayload(
         std::span<const u8>(payload).first(compressor_.payloadBytes()));
-    if (cfg_.computeTransferBits)
-        result.minCompressedBits = compressor_.minCompressedBits(data);
     return result;
 }
 
@@ -78,15 +76,13 @@ CopEncodeResult
 CopCodec::classify(const CacheBlock &data) const
 {
     CopEncodeResult result;
-    const BlockClass cls = compressor_.classify(
-        data, cfg_.computeTransferBits, &result.schemeTrials);
-    if (!cls.scheme) {
+    const auto scheme = compressor_.classify(data, &result.schemeTrials);
+    if (!scheme) {
         result.status = rawStatus(data);
         return result;
     }
     result.status = EncodeStatus::Protected;
-    result.scheme = *cls.scheme;
-    result.minCompressedBits = cls.minCompressedBits;
+    result.scheme = *scheme;
     return result;
 }
 

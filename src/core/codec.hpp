@@ -47,15 +47,6 @@ struct CopEncodeResult
     SchemeId scheme = SchemeId::Msb;
     /** Scheme admission checks this encode performed (perf counter). */
     unsigned schemeTrials = 0;
-    /**
-     * Smallest in-budget compressed size of the block across all
-     * participating schemes, in bits (excluding the 2-bit tag), or -1
-     * when not computed (CopConfig::computeTransferBits off or status
-     * != Protected). The stored image is always a full padded block;
-     * this is the information content a bandwidth-mode controller may
-     * size a shortened bus transfer from.
-     */
-    int minCompressedBits = -1;
 
     bool isProtected() const { return status == EncodeStatus::Protected; }
 };
@@ -91,21 +82,14 @@ class CopCodec
     const CombinedCompressor &compressor() const { return compressor_; }
 
     /**
-     * Arm per-encode transfer sizing (CopConfig::computeTransferBits):
-     * subsequent Protected encodes also report minCompressedBits.
-     * Setup-time only; stored images are unaffected.
-     */
-    void enableTransferSizing() { cfg_.computeTransferBits = true; }
-
-    /**
      * Encode a writeback: compress + protect if possible, otherwise pass
      * raw, rejecting incompressible aliases.
      */
     CopEncodeResult encode(const CacheBlock &data) const;
 
     /**
-     * encode() without building the image: the same status, scheme,
-     * schemeTrials and minCompressedBits, with `stored` left empty.
+     * encode() without building the image: the same status, scheme
+     * and schemeTrials, with `stored` left empty.
      * The decoder's compressed-or-raw answer is this status for every
      * image encode() stores (the alias test rejects every raw block it
      * would misread), so where nothing can corrupt memory a fill needs

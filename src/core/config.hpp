@@ -30,13 +30,6 @@ struct CopConfig
     unsigned threshold = 3;
     /** Apply the per-segment static hash (Section 3.1, Figure 2). */
     bool useStaticHash = true;
-    /**
-     * Compute CopEncodeResult::minCompressedBits on every Protected
-     * encode (the bandwidth-compression mode's transfer-sizing input).
-     * Off by default: protection-only controllers skip the extra
-     * per-scheme size passes on the encode hot path.
-     */
-    bool computeTransferBits = false;
 
     /** The paper's preferred 4-byte configuration. */
     static CopConfig

@@ -14,11 +14,6 @@
 
 namespace cop {
 
-/** Bits one data beat moves on the 64-bit channel bus. */
-inline constexpr unsigned kBusBitsPerBeat = 64;
-/** Beats a full 64-byte block transfer occupies. */
-inline constexpr unsigned kBeatsPerBlock = kBlockBits / kBusBitsPerBeat;
-
 /**
  * Row-buffer management policy. The paper's system (and the embedded-
  * ECC related work it cites) assumes open-row; closed-page is provided

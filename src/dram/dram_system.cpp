@@ -131,7 +131,7 @@ DramSystem::bankReadyHint(Addr addr) const
     const Rank &rank = channels_[loc.channel].ranks[loc.rank];
 
     if (bank.rowOpen && bank.openRow == loc.row)
-        return refreshAdjusted(bank.casReady);
+        return refreshAdjusted(std::max(bank.casReady, rank.casReady));
     const Cycle act = bank.rowOpen ? bank.preReady + cfg_.tRP
                                    : bank.actReady;
     return refreshAdjusted(rankActConstraint(rank, act));
@@ -207,13 +207,15 @@ DramSystem::access(const DramRequest &req)
     // stalling here is pure refresh exposure, not bank contention.
     cas = adjustForRefreshColumn(cas);
 
+    // Column commands to any bank of one rank sit tCCD apart. The
+    // bank's own tCCD bound above slips past refresh; the rank's bound,
+    // like the bus wait below, does not.
+    cas = std::max(cas, rank.casReady);
+
     // Data transfer on the shared channel bus. The burst occupies the
-    // bus for burstBeats/8 of a full tBURST (2 CPU cycles per beat at
-    // the default timing); a direction flip against the previous burst
-    // first pays the tWTR (write->read) or tRTW (read->write)
-    // turnaround gap.
-    COP_ASSERT(req.burstBeats >= 1 && req.burstBeats <= 8);
-    const Cycle burst = cfg_.tBURST * req.burstBeats / 8;
+    // bus for tBURST; a direction flip against the previous burst first
+    // pays the tWTR (write->read) or tRTW (read->write) turnaround gap.
+    const Cycle burst = cfg_.tBURST;
     const Cycle cas_to_data = req.isWrite ? cfg_.tCWL : cfg_.tCL;
     Cycle bus_ready = channel.busFree;
     if (channel.hasTransfer && channel.lastWasWrite != req.isWrite) {
@@ -226,7 +228,6 @@ DramSystem::access(const DramRequest &req)
     channel.lastWasWrite = req.isWrite;
     channel.busBusy += burst;
     stats_.busBusyCycles += burst;
-    stats_.beatsSaved += 8 - req.burstBeats;
     const Cycle physical_complete = data + burst;
     result.complete = physical_complete;
     if (ambientFactor_ > 0.0) {
@@ -249,19 +250,19 @@ DramSystem::access(const DramRequest &req)
         stats_.ambientStallCycles += extra;
     }
 
-    // Back-annotate bank state (physical times, never the stretch).
+    // Back-annotate bank and rank state (physical times, never the
+    // stretch).
     const Cycle effective_cas = data - cas_to_data;
     bank.casReady = std::max(bank.casReady, effective_cas + cfg_.tCCD);
+    rank.casReady = std::max(rank.casReady, effective_cas + cfg_.tCCD);
     if (req.isWrite) {
         ++stats_.writes;
-        stats_.writeBeats += req.burstBeats;
         bank.preReady =
             std::max(bank.preReady, physical_complete + cfg_.tWR);
         stats_.totalWriteLatency += result.complete - req.arrival;
         stats_.writeLatency.record(result.complete - req.arrival);
     } else {
         ++stats_.reads;
-        stats_.readBeats += req.burstBeats;
         bank.preReady =
             std::max(bank.preReady, effective_cas + cfg_.tRTP);
         stats_.totalReadLatency += result.complete - req.arrival;
@@ -290,11 +291,6 @@ DramSystem::registerStats(StatsRegistry &reg) const
               [this] { return stats_.refreshStalls; });
     reg.gauge("dram.refresh_stalls_cas",
               [this] { return stats_.refreshStallsCas; });
-    reg.gauge("dram.bus_read_beats", [this] { return stats_.readBeats; });
-    reg.gauge("dram.bus_write_beats",
-              [this] { return stats_.writeBeats; });
-    reg.gauge("dram.bus_beats_saved",
-              [this] { return stats_.beatsSaved; });
     reg.gauge("dram.bus_busy_cycles",
               [this] { return stats_.busBusyCycles; });
     reg.gauge("dram.bus_turnarounds",

@@ -27,13 +27,6 @@ struct DramRequest
     Addr addr = 0;
     bool isWrite = false;
     Cycle arrival = 0;
-    /**
-     * Data beats this transfer occupies on the channel bus (1..8). A
-     * full 64-byte block is 8 beats on the 64-bit bus; the bandwidth-
-     * compression mode ships compressed blocks in fewer. Command timing
-     * (ACT/CAS) is unaffected — only bus occupancy scales.
-     */
-    unsigned burstBeats = 8;
 };
 
 /** Timing outcome of one request. */
@@ -60,12 +53,6 @@ struct DramStats
     /** Column commands (CAS) delayed past a tRFC window. */
     u64 refreshStallsCas = 0;
     Cycle totalWriteLatency = 0;
-    /** Data beats actually transferred on the bus, by direction. */
-    u64 readBeats = 0;
-    u64 writeBeats = 0;
-    /** Beats a full 8-beat burst would have used but a shortened one
-     *  did not (8 - burstBeats summed over all accesses). */
-    u64 beatsSaved = 0;
     /** Cycles the channel data buses spent transferring (all channels). */
     Cycle busBusyCycles = 0;
     /** Bus direction flips that imposed a tWTR/tRTW turnaround gap. */
@@ -113,7 +100,8 @@ struct DramStats
 
 /**
  * The DRAM timing model. Open-row policy (rows stay open until a
- * conflicting activate), per-rank tRRD/tFAW tracking, optional refresh.
+ * conflicting activate), per-rank tRRD/tFAW/tCCD tracking, optional
+ * refresh.
  *
  * Requests must be submitted in non-decreasing arrival order per
  * channel for the reservation model to be meaningful; the simulator's
@@ -183,7 +171,8 @@ class DramSystem
     /**
      * Earliest cycle the addressed bank could issue the first command
      * of a new access (CAS on an open-row hit, ACT otherwise),
-     * consulting the same per-rank tRRD/tFAW windows and refresh state
+     * consulting the same per-rank tRRD/tFAW/tCCD state and refresh
+     * windows
      * as access() — but const: no statistics are mutated.
      */
     Cycle bankReadyHint(Addr addr) const;
@@ -193,7 +182,7 @@ class DramSystem
     {
         bool rowOpen = false;
         u64 openRow = 0;
-        Cycle casReady = 0; ///< Earliest next CAS.
+        Cycle casReady = 0; ///< Earliest next CAS (tRCD, tCCD).
         Cycle preReady = 0; ///< Earliest next PRE (tRAS/tWR respected).
         Cycle actReady = 0; ///< Earliest next ACT (after PRE done).
         Cycle lastUse = 0;  ///< Last arrival here (ambient row closes).
@@ -205,6 +194,7 @@ class DramSystem
         unsigned actPtr = 0;
         u64 actCount = 0; ///< Activates issued so far (guards the window).
         Cycle lastAct = 0;
+        Cycle casReady = 0; ///< Earliest next CAS to any bank (tCCD).
     };
 
     struct Channel

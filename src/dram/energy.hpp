@@ -83,19 +83,9 @@ class DramEnergyModel
         const auto row_ops =
             static_cast<double>(stats.rowMisses + stats.rowConflicts);
         r.activateMj = row_ops * params_.actPreNj * chips * 1e-6;
-        // Burst and I/O energy scale with beats actually transferred:
-        // readNj/writeNj/ioNj are per full 8-beat burst, so a shortened
-        // burst pays burstBeats/8 of it. Hand-built stats without beat
-        // counters (beats == 0 with nonzero accesses) fall back to the
-        // fixed 8-beat assumption, keeping the legacy accounting — and
-        // the 8-beat case — numerically identical.
-        const double read_bursts =
-            stats.readBeats ? static_cast<double>(stats.readBeats) / 8.0
-                            : static_cast<double>(stats.reads);
-        const double write_bursts =
-            stats.writeBeats
-                ? static_cast<double>(stats.writeBeats) / 8.0
-                : static_cast<double>(stats.writes);
+        // Burst and I/O energy are per 8-beat burst (one access).
+        const auto read_bursts = static_cast<double>(stats.reads);
+        const auto write_bursts = static_cast<double>(stats.writes);
         r.readMj = read_bursts * params_.readNj * chips * 1e-6;
         r.writeMj = write_bursts * params_.writeNj * chips * 1e-6;
         // I/O scales with transfers, and an ECC DIMM moves 72 bits per

@@ -44,7 +44,7 @@ MemoryController::dramRead(Addr addr, Cycle now)
         ++fault_.log.scrubReads;
         break;
     }
-    return dram_.access({addr, false, now, transferBeats(addr)}).complete;
+    return dram_.access({addr, false, now}).complete;
 }
 
 Cycle
@@ -59,7 +59,7 @@ MemoryController::dramWrite(Addr addr, Cycle now)
         ++fault_.log.scrubWrites;
         break;
     }
-    return dram_.access({addr, true, now, transferBeats(addr)}).complete;
+    return dram_.access({addr, true, now}).complete;
 }
 
 Cycle
@@ -78,18 +78,6 @@ MemoryController::metaFetch(MetaCache &meta, Addr meta_addr, Cycle now,
     }
     ++stats_.metaReads;
     return dramRead(meta_addr, now);
-}
-
-void
-MemoryController::noteTransferBits(Addr addr, unsigned bits)
-{
-    if (!bwMode_)
-        return;
-    const unsigned beats =
-        std::max(1u, (bits + kBusBitsPerBeat - 1) / kBusBitsPerBeat);
-    const unsigned clamped = std::max(beats, bwBeatFloor_);
-    record(addr).beats =
-        clamped >= kBeatsPerBlock ? 0 : static_cast<u8>(clamped);
 }
 
 const CacheBlock &
@@ -373,14 +361,12 @@ MemoryController::recoveryWriteback(Addr addr, const CacheBlock &data,
         // The repaired content is an incompressible alias, which can
         // never live in DRAM; drop the stored image so the next miss
         // re-runs first-touch handling (and pins the line). The
-        // transfer size belongs to the dropped image; the version and
-        // write time are the block's history and stay.
+        // version and write time are the block's history and stay.
         BlockState &rec = record(addr);
         if (rec.stored != Stored::Nothing) {
             rec.stored = Stored::Nothing;
             --storedBlocks_;
         }
-        rec.beats = 0;
         images_.erase(addr);
         fault_.faulted.erase(addr);
         fault_.silentKnown.erase(addr);

@@ -197,26 +197,6 @@ class MemoryController
      */
     virtual void registerStats(StatsRegistry &reg) const;
 
-    /**
-     * Arm the CRAM-style bandwidth-compression mode: data-block
-     * transfers whose recorded compressed size fits fewer bus beats
-     * ship in shortened bursts. @p beat_floor (1..8) is the smallest
-     * burst any transfer may shrink to; a floor of 8 keeps every burst
-     * full-length (the mode's machinery runs but timing is identical
-     * to the mode being off — the byte-identity lever the tests use).
-     *
-     * Variants that run a COP codec override to also arm per-encode
-     * transfer sizing; controllers without compression accept the call
-     * but never shorten anything.
-     */
-    virtual void
-    enableBandwidthMode(unsigned beat_floor)
-    {
-        COP_ASSERT(beat_floor >= 1 && beat_floor <= 8);
-        bwMode_ = true;
-        bwBeatFloor_ = beat_floor;
-    }
-
     /** Counters of the adaptive ECC-region capacity mode. */
     struct AdaptiveStats
     {
@@ -400,26 +380,6 @@ class MemoryController
     Cycle metaFetch(MetaCache &meta, Addr meta_addr, Cycle now, bool dirty);
 
     /**
-     * Record that the stored image of @p addr carries @p bits of
-     * information (compressed data + check bits), so its bus transfers
-     * may shorten to ceil(bits / 64) beats, clamped to the configured
-     * beat floor. Pass kBlockBits (or more) to restore the full-burst
-     * default. No-op when the bandwidth mode is off. Call at every
-     * image-store site *before* the DRAM access that ships the block.
-     */
-    void noteTransferBits(Addr addr, unsigned bits);
-
-    /** Beats the data transfer of @p addr occupies (8 unless shortened). */
-    unsigned
-    transferBeats(Addr addr) const
-    {
-        if (!bwMode_)
-            return 8;
-        const BlockState *rec = findRecord(addr);
-        return rec == nullptr || rec->beats == 0 ? 8 : rec->beats;
-    }
-
-    /**
      * Functional memory's current content of a block (reference into
      * the pool; valid until the next content lookup): the initial
      * content on first touch, the truth recovery restores, and the data
@@ -555,10 +515,8 @@ class MemoryController
 
     /**
      * Per-block records: how each block is stored and at which
-     * version, write times and, in bandwidth mode, the burst length of
-     * each copy (metadata addresses, the memlayout::kMetaBase /
-     * kTreeBase spaces, never get one, so their transfers stay 8
-     * beats).
+     * version, and write times (metadata addresses, the
+     * memlayout::kMetaBase / kTreeBase spaces, never get one).
      */
     BlockTableRef blocks_;
     /**
@@ -572,10 +530,6 @@ class MemoryController
     AdaptiveStats adaptive_;
     /** Class of the most recent readImpl fill (set by logVuln). */
     VulnClass lastFillClass_ = VulnClass::Unprotected;
-
-    // --- bandwidth-compression mode state -----------------------------
-    bool bwMode_ = false;
-    unsigned bwBeatFloor_ = 8;
 };
 
 /** Plain non-ECC DIMM: no protection, no overheads. */

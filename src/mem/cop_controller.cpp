@@ -31,7 +31,6 @@ CopController::fill(Addr addr, Cycle now, MemReadResult &result)
         result.dramAccesses = 1;
         return;
     }
-    noteTransferBits(addr, copTransferBits(enc, codec_.config()));
     // Through setImage under fault injection: stuck bits apply.
     keep(addr, enc);
     readStored(addr, now, result, &data);
@@ -102,7 +101,6 @@ CopController::storeEncoded(Addr addr, const CopEncodeResult &enc,
         return result;
     }
     countWrite(enc);
-    noteTransferBits(addr, copTransferBits(enc, codec_.config()));
     result.complete = dramWrite(addr, now);
     result.dramAccesses = 1;
     keep(addr, enc);

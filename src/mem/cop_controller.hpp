@@ -17,22 +17,6 @@
 namespace cop {
 
 /**
- * Total bits a shortened bus transfer of this encode result must carry:
- * the 2-bit scheme tag, the block's minimal in-budget compressed stream,
- * and the inline SECDED check bits. Anything not Protected (or encoded
- * without transfer sizing) needs the full block.
- */
-inline unsigned
-copTransferBits(const CopEncodeResult &enc, const CopConfig &cfg)
-{
-    if (enc.status == EncodeStatus::Protected && enc.minCompressedBits >= 0)
-        return kSchemeTagBits +
-               static_cast<unsigned>(enc.minCompressedBits) +
-               8 * cfg.checkBytes;
-    return kBlockBits;
-}
-
-/**
  * COP memory controller, and the base of the two COP-ER variants: it
  * owns the 4-byte (or 8-byte) codec, the encode counter, the decode
  * latency and the write counters, and implements the fill steps all
@@ -57,13 +41,6 @@ class CopController : public MemoryController
     MemWriteResult writeback(Addr addr, const CacheBlock &data, Cycle now,
                              bool was_uncompressed) override;
     bool wouldAliasReject(const CacheBlock &data) const override;
-
-    void
-    enableBandwidthMode(unsigned beat_floor) override
-    {
-        MemoryController::enableBandwidthMode(beat_floor);
-        codec_.enableTransferSizing();
-    }
 
     const CopCodec &codec() const { return codec_; }
 

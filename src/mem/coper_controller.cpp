@@ -174,10 +174,6 @@ CopErController::readImpl(Addr addr, Cycle now)
         // encoder.
         const CacheBlock &data = content(addr);
         const CopEncodeResult enc = encodeBlock(data);
-        // Incompressible blocks ship raw (pointer in place of check
-        // bits): copTransferBits yields a full block and clears any
-        // stale shortening for the address.
-        noteTransferBits(addr, copTransferBits(enc, codec_.config()));
         if (enc.status == EncodeStatus::Protected)
             keep(addr, enc);
         else
@@ -256,11 +252,6 @@ CopErController::writeback(Addr addr, const CacheBlock &data, Cycle now,
     const bool compressible = enc.status == EncodeStatus::Protected;
     // (EncodeStatus::AliasRejected also means incompressible; COP-ER
     // stores such blocks through the de-aliasing entry path.)
-
-    // Record the new image's transfer size after the old-pointer read
-    // above (which still ships at the old image's burst length) but
-    // before the data write below.
-    noteTransferBits(addr, copTransferBits(enc, codec_.config()));
 
     countWrite(enc);
     if (compressible) {

@@ -66,14 +66,7 @@ class WideCheckSidecar
     FlatMap<u16> check_;
 };
 
-/**
- * The ECC-region ("Virtualized ECC"-like) baseline controller.
- *
- * The bandwidth-compression mode is inert here (as for the unprotected
- * and ECC-DIMM baselines): without a compressor there is no shortened
- * image to ship, so enableBandwidthMode() records nothing and every
- * transfer keeps the full 8-beat burst.
- */
+/** The ECC-region ("Virtualized ECC"-like) baseline controller. */
 class EccRegionController : public MemoryController
 {
   public:

@@ -97,23 +97,20 @@ writeReport(const SystemResults &results, const SystemConfig &cfg,
         lineCount(out, "refresh stalls", results.dram.refreshStalls);
         lineCount(out, "refresh stalls (CAS)",
                   results.dram.refreshStallsCas);
-        lineCount(out, "bus beats transferred",
-                  results.dram.readBeats + results.dram.writeBeats);
-        lineCount(out, "bus beats saved", results.dram.beatsSaved);
         lineCount(out, "bus turnarounds", results.dram.busTurnarounds);
         if (results.cycles > 0) {
             line(out, "bus utilisation",
                  static_cast<double>(results.dram.busBusyCycles) /
                      (static_cast<double>(results.cycles) *
                       cfg.dram.channels));
-            // 8 bytes per beat; core cycles -> seconds at the energy
-            // model's 3.2 GHz core clock.
+            // One 64-byte block per burst; core cycles -> seconds at
+            // the energy model's 3.2 GHz core clock.
             const double seconds = static_cast<double>(results.cycles) /
                                    (DramEnergyParams{}.coreGHz * 1e9);
             line(out, "effective bandwidth",
-                 static_cast<double>(results.dram.readBeats +
-                                     results.dram.writeBeats) *
-                     8.0 / seconds / 1e9,
+                 static_cast<double>(results.dram.reads +
+                                     results.dram.writes) *
+                     64.0 / seconds / 1e9,
                  "GB/s");
         }
     }

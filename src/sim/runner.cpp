@@ -244,12 +244,9 @@ appendResultsJson(std::string &out, const SystemResults &r)
     // Functional-memory perf counter — again appended strictly after
     // everything that existed before it.
     field(out, "pool_block_for_calls", r.poolBlockForCalls);
-    // Bandwidth-compression / bus-timing additions — appended strictly
-    // after everything that existed before them (same convention).
+    // Bus-timing additions — appended strictly after everything that
+    // existed before them (same convention).
     field(out, "dram_total_write_latency", r.dram.totalWriteLatency);
-    field(out, "dram_bus_read_beats", r.dram.readBeats);
-    field(out, "dram_bus_write_beats", r.dram.writeBeats);
-    field(out, "dram_bus_beats_saved", r.dram.beatsSaved);
     field(out, "dram_bus_busy_cycles", r.dram.busBusyCycles);
     field(out, "dram_bus_turnarounds", r.dram.busTurnarounds);
     // On-die ECC + adaptive-capacity additions — appended strictly

@@ -188,11 +188,6 @@ System::System(const WorkloadProfile &profile, const SystemConfig &cfg,
         },
         cfg_.decodeLatency, cfg_.metaCacheBytes, &encodes_);
     controller_->shareBlockTable(blocks_);
-    if (cfg_.bandwidthCompression) {
-        if (cfg_.bandwidthBeatFloor < 1 || cfg_.bandwidthBeatFloor > 8)
-            COP_FATAL("bandwidthBeatFloor must be in [1, 8]");
-        controller_->enableBandwidthMode(cfg_.bandwidthBeatFloor);
-    }
     if (cfg_.adaptiveEccCapacity)
         controller_->enableAdaptiveCapacity();
     evictFilter_ = [this](Addr victim, const CacheLineState &) {
@@ -922,9 +917,6 @@ System::mergeResultsInto(SystemResults &into, const SystemResults &peer)
     into.dram.refreshStallsCas += peer.dram.refreshStallsCas;
     into.dram.totalReadLatency += peer.dram.totalReadLatency;
     into.dram.totalWriteLatency += peer.dram.totalWriteLatency;
-    into.dram.readBeats += peer.dram.readBeats;
-    into.dram.writeBeats += peer.dram.writeBeats;
-    into.dram.beatsSaved += peer.dram.beatsSaved;
     into.dram.busBusyCycles += peer.dram.busBusyCycles;
     into.dram.busTurnarounds += peer.dram.busTurnarounds;
     into.dram.ambientStallCycles += peer.dram.ambientStallCycles;

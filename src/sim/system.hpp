@@ -79,23 +79,6 @@ struct SystemParams
     /** Completed epochs (across cores) between trace snapshots. */
     u64 traceStatsEpochInterval = 256;
     /**
-     * CRAM-style bandwidth-compression mode: COP-family controllers
-     * ship blocks whose compressed size (data + check bits) fits fewer
-     * bus beats in a shortened burst. Off by default — protection-only
-     * behaviour (and its results JSON) is byte-identical to builds
-     * without the mode. Inert for controllers without a compressor.
-     */
-    bool bandwidthCompression = false;
-    /**
-     * Smallest burst a shortened transfer may shrink to, in beats
-     * (1..8). COP's budget-driven compressors free at most ~4-8 bytes
-     * plus check bits, so real transfers bottom out at 5 beats; the
-     * default floor of 4 is therefore never binding. A floor of 8
-     * forces every burst full-length while keeping the mode's code
-     * paths live (the byte-identity test lever).
-     */
-    unsigned bandwidthBeatFloor = 4;
-    /**
      * Adaptive ECC-region capacity: metadata blocks whose coverage no
      * longer needs them (an ECC Reg. entry group whose blocks are all
      * compressible; a COP-ER entry block that drained to empty) are
@@ -171,9 +154,11 @@ struct SystemConfig : SystemParams
 
     // --- compatibility names (copbench) ------------------------------
     // The encode memo and the functional-memory content cache are gone;
-    // copbench still reads their sizes. Read-only, always 0.
+    // copbench still reads their sizes. Read-only, always 0. The
+    // bandwidth-compression mode is gone too; copbench still rejects it.
     static constexpr unsigned encodeMemoEntries = 0;
     static constexpr unsigned contentCacheEntries = 0;
+    static constexpr bool bandwidthCompression = false;
 };
 
 /** Aggregate results of one run. */

@@ -5,8 +5,8 @@
  * decides and serves its fills from that status, never building or
  * decoding the image. That is exact only if, for every block:
  *
- *  - classify(x) decides what encode(x) does: status, scheme, scheme
- *    trials and transfer size;
+ *  - classify(x) decides what encode(x) does: status, scheme and scheme
+ *    trials;
  *  - decode(encode(x)) is x with clean flags, and says "compressed"
  *    exactly for a protected block.
  *
@@ -63,12 +63,9 @@ allConfigs()
     for (const CopConfig &base :
          {CopConfig::fourByte(), CopConfig::eightByte()}) {
         for (const bool hash : {true, false}) {
-            for (const bool transfer : {false, true}) {
-                CopConfig cfg = base;
-                cfg.useStaticHash = hash;
-                cfg.computeTransferBits = transfer;
-                out.push_back(cfg);
-            }
+            CopConfig cfg = base;
+            cfg.useStaticHash = hash;
+            out.push_back(cfg);
         }
     }
     return out;
@@ -87,7 +84,6 @@ TEST_P(ClassifyExactness, ClassifyDecidesWhatEncodeDoes)
         const CopEncodeResult cls = codec.classify(x);
         ASSERT_EQ(cls.status, enc.status);
         ASSERT_EQ(cls.schemeTrials, enc.schemeTrials);
-        ASSERT_EQ(cls.minCompressedBits, enc.minCompressedBits);
         if (enc.isProtected()) {
             ASSERT_EQ(cls.scheme, enc.scheme);
         }

@@ -261,46 +261,28 @@ TEST(DramTiming, SameDirectionBurstsPayNoTurnaround)
     EXPECT_EQ(dram.stats().busTurnarounds, 0u);
 }
 
-TEST(DramTiming, ShortenedBurstScalesBusOccupancy)
+TEST(DramTiming, CasToCasAcrossBanksOfOneRankHonoursTccd)
 {
-    DramSystem dram(quietConfig());
-    const DramConfig &cfg = dram.config();
+    // A burst shorter than tCCD frees the bus before the rank may take
+    // its next column command, so only a rank-level tCCD spaces CAS
+    // commands to different banks of one rank.
+    DramConfig cfg = quietConfig();
+    cfg.tBURST = cfg.tCCD / 2;
+    DramSystem dram(cfg);
+    const Addr a = bankAddr(cfg, 0);
+    const Addr b = bankAddr(cfg, 1);
 
-    // A 5-beat burst (the smallest a compressed COP block can reach:
-    // 2 tag + 240 stream + 32 check bits = 274 bits) occupies the bus
-    // for 5/8 of tBURST; command timing is unchanged.
-    const DramResult r = dram.access({0, false, 0, 5});
-    EXPECT_EQ(r.complete, cfg.tRCD + cfg.tCL + cfg.tBURST * 5 / 8);
-
-    const DramStats &s = dram.stats();
-    EXPECT_EQ(s.readBeats, 5u);
-    EXPECT_EQ(s.beatsSaved, 3u);
-    EXPECT_EQ(s.busBusyCycles, cfg.tBURST * 5 / 8);
-}
-
-TEST(DramTiming, ShortenedWriteBurstCountsWriteBeats)
-{
-    DramSystem dram(quietConfig());
-    const DramConfig &cfg = dram.config();
-
-    const DramResult w = dram.access({0, true, 0, 6});
-    EXPECT_EQ(w.complete, cfg.tRCD + cfg.tCWL + cfg.tBURST * 6 / 8);
-
-    const DramStats &s = dram.stats();
-    EXPECT_EQ(s.writeBeats, 6u);
-    EXPECT_EQ(s.readBeats, 0u);
-    EXPECT_EQ(s.beatsSaved, 2u);
-}
-
-TEST(DramTiming, FullBurstsAccrueBeatsWithNothingSaved)
-{
-    DramSystem dram(quietConfig());
-    dram.access({0, false, 0});
-    dram.access({128, true, 0});
-    const DramStats &s = dram.stats();
-    EXPECT_EQ(s.readBeats, 8u);
-    EXPECT_EQ(s.writeBeats, 8u);
-    EXPECT_EQ(s.beatsSaved, 0u);
+    // Open a row in each bank, then let every constraint expire.
+    dram.access({a, false, 0});
+    dram.access({b, false, 0});
+    const Cycle t = 10000;
+    const DramResult first = dram.access({a + 128, false, t});
+    EXPECT_EQ(dram.bankReadyHint(b + 128), t + cfg.tCCD);
+    const DramResult second = dram.access({b + 128, false, t});
+    ASSERT_TRUE(first.rowHit);
+    ASSERT_TRUE(second.rowHit);
+    EXPECT_EQ(first.complete, t + cfg.tCL + cfg.tBURST);
+    EXPECT_EQ(second.complete, t + cfg.tCCD + cfg.tCL + cfg.tBURST);
 }
 
 TEST(DramTiming, ReadLatencyHistogramTracksAccesses)

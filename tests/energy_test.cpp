@@ -67,45 +67,6 @@ TEST(Energy, BackgroundScalesWithTime)
     EXPECT_DOUBLE_EQ(b.readMj, a.readMj);
 }
 
-TEST(Energy, FullBeatCountsMatchLegacyAccounting)
-{
-    // Stats carrying beat counters at exactly 8 beats per access must
-    // report the same energy as beat-less legacy stats: the per-beat
-    // scaling is a refinement of the fixed-burst assumption, not a
-    // re-calibration.
-    const DramEnergyModel model;
-    DramStats with_beats = someStats();
-    with_beats.readBeats = with_beats.reads * 8;
-    with_beats.writeBeats = with_beats.writes * 8;
-    const DramEnergyReport legacy = model.evaluate(someStats(), 1000000, 8);
-    const DramEnergyReport beats = model.evaluate(with_beats, 1000000, 8);
-    EXPECT_DOUBLE_EQ(beats.readMj, legacy.readMj);
-    EXPECT_DOUBLE_EQ(beats.writeMj, legacy.writeMj);
-    EXPECT_DOUBLE_EQ(beats.ioMj, legacy.ioMj);
-    EXPECT_DOUBLE_EQ(beats.totalMj(), legacy.totalMj());
-}
-
-TEST(Energy, ShortenedBurstsScaleBurstAndIoEnergy)
-{
-    // Bandwidth mode at 6 beats per transfer: burst and I/O energy drop
-    // to exactly 6/8; activate and background are untouched (the bank
-    // still activates, the chips still idle).
-    const DramEnergyModel model;
-    DramStats full = someStats();
-    full.readBeats = full.reads * 8;
-    full.writeBeats = full.writes * 8;
-    DramStats shortened = someStats();
-    shortened.readBeats = shortened.reads * 6;
-    shortened.writeBeats = shortened.writes * 6;
-    const DramEnergyReport f = model.evaluate(full, 1000000, 8);
-    const DramEnergyReport s = model.evaluate(shortened, 1000000, 8);
-    EXPECT_NEAR(s.readMj, f.readMj * 6.0 / 8.0, 1e-12);
-    EXPECT_NEAR(s.writeMj, f.writeMj * 6.0 / 8.0, 1e-12);
-    EXPECT_NEAR(s.ioMj, f.ioMj * 6.0 / 8.0, 1e-12);
-    EXPECT_DOUBLE_EQ(s.activateMj, f.activateMj);
-    EXPECT_DOUBLE_EQ(s.backgroundMj, f.backgroundMj);
-}
-
 TEST(Energy, RowHitsCostNoActivateEnergy)
 {
     const DramEnergyModel model;

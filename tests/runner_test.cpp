@@ -330,10 +330,6 @@ TEST(CellKey, EverySingleFieldChangeSplitsTheCell)
          [](SystemConfig &c) { c.fault.campaign.push_back({}); }},
         {"traceStatsEpochInterval",
          [](SystemConfig &c) { c.traceStatsEpochInterval += 1; }},
-        {"bandwidthCompression",
-         [](SystemConfig &c) { c.bandwidthCompression = true; }},
-        {"bandwidthBeatFloor",
-         [](SystemConfig &c) { c.bandwidthBeatFloor = 8; }},
         {"adaptiveEccCapacity",
          [](SystemConfig &c) { c.adaptiveEccCapacity = true; }},
         {"simThreads", [](SystemConfig &c) { c.simThreads = 2; }},

@@ -28,8 +28,7 @@ PrintTo(const CopConfig &cfg, std::ostream *os)
 {
     *os << "CopConfig(checkBytes=" << cfg.checkBytes
         << ",threshold=" << cfg.threshold
-        << ",staticHash=" << cfg.useStaticHash
-        << ",transferBits=" << cfg.computeTransferBits << ")";
+        << ",staticHash=" << cfg.useStaticHash << ")";
 }
 
 } // namespace cop
