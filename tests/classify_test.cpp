@@ -11,8 +11,9 @@
  *    exactly for a protected block.
  *
  * Both are checked here over sampled blocks of every content category
- * of every stock profile, plus constructed aliases, under every
- * CopConfig. The System oracle does not see the codec in fault-free
+ * of every stock profile, plus constructed aliases, under both code
+ * configurations, with and without the static hash, at three decoder
+ * thresholds. The System oracle does not see the codec in fault-free
  * runs, so these checks carry that coverage.
  */
 
@@ -62,10 +63,17 @@ allConfigs()
     std::vector<CopConfig> out;
     for (const CopConfig &base :
          {CopConfig::fourByte(), CopConfig::eightByte()}) {
-        for (const bool hash : {true, false}) {
-            CopConfig cfg = base;
-            cfg.useStaticHash = hash;
-            out.push_back(cfg);
+        // The decoder threshold decides which raw blocks alias, so the
+        // loosest (2), the paper's and the strictest (every word) are
+        // all checked.
+        for (const unsigned threshold :
+             {2u, base.threshold, base.codewords()}) {
+            for (const bool hash : {true, false}) {
+                CopConfig cfg = base;
+                cfg.threshold = threshold;
+                cfg.useStaticHash = hash;
+                out.push_back(cfg);
+            }
         }
     }
     return out;

@@ -285,6 +285,30 @@ TEST(DramTiming, CasToCasAcrossBanksOfOneRankHonoursTccd)
     EXPECT_EQ(second.complete, t + cfg.tCCD + cfg.tCL + cfg.tBURST);
 }
 
+TEST(DramTiming, CasToCasAcrossRanksIsNotHeldByTccd)
+{
+    // tCCD binds one rank only: with bursts a quarter of tCCD long, a
+    // column command to the other rank of the channel waits for the
+    // bus alone.
+    DramConfig cfg = quietConfig();
+    cfg.tBURST = cfg.tCCD / 4;
+    DramSystem dram(cfg);
+    const Addr rank0 = bankAddr(cfg, 0);
+    const Addr rank1 = bankAddr(cfg, cfg.banksPerRank); // rank 1, bank 0
+
+    dram.access({rank0, false, 0});
+    dram.access({rank1, false, 0});
+    const Cycle t = 10000;
+    const DramResult first = dram.access({rank0 + 128, false, t});
+    EXPECT_LE(dram.bankReadyHint(rank1 + 128), t);
+    const DramResult second = dram.access({rank1 + 128, false, t});
+    ASSERT_TRUE(first.rowHit);
+    ASSERT_TRUE(second.rowHit);
+    EXPECT_EQ(first.complete, t + cfg.tCL + cfg.tBURST);
+    EXPECT_EQ(second.complete, first.complete + cfg.tBURST);
+    EXPECT_LT(second.complete, t + cfg.tCCD + cfg.tCL + cfg.tBURST);
+}
+
 TEST(DramTiming, ReadLatencyHistogramTracksAccesses)
 {
     DramSystem dram(quietConfig());

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "dram/energy.hpp"
 
 namespace cop {
@@ -56,6 +58,26 @@ TEST(Energy, MoreAccessesMoreEnergy)
     EXPECT_GT(doubled.totalMj(), base.totalMj());
     EXPECT_NEAR(doubled.readMj, 2 * base.readMj, 1e-12);
     EXPECT_DOUBLE_EQ(doubled.writeMj, base.writeMj);
+}
+
+TEST(Energy, IoEnergyCountsEveryBurstAlike)
+{
+    // Every access is one full burst on the bus: I/O energy follows
+    // reads + writes, whichever direction they go.
+    const DramEnergyModel model;
+    DramStats swapped = someStats();
+    std::swap(swapped.reads, swapped.writes);
+    DramStats doubled = someStats();
+    doubled.reads *= 2;
+    doubled.writes *= 2;
+    const DramEnergyReport base = model.evaluate(someStats(), 1000000, 8);
+    EXPECT_NEAR(base.ioMj, (1000 + 400) * model.params().ioNj * 1e-6,
+                1e-12);
+    EXPECT_NEAR(model.evaluate(swapped, 1000000, 8).ioMj, base.ioMj,
+                1e-12);
+    const DramEnergyReport twice = model.evaluate(doubled, 1000000, 8);
+    EXPECT_NEAR(twice.ioMj, 2 * base.ioMj, 1e-12);
+    EXPECT_NEAR(twice.writeMj, 2 * base.writeMj, 1e-12);
 }
 
 TEST(Energy, BackgroundScalesWithTime)

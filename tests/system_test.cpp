@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/runner.hpp"
 #include "sim/system.hpp"
 
 namespace cop {
@@ -40,6 +41,27 @@ TEST_P(SystemKinds, RunsCleanWithDataVerification)
     EXPECT_LE(results.ipc, 2 * profile.perfectIpc * 2);
     EXPECT_GT(results.llcMisses, 0u);
     EXPECT_GT(results.vuln.totalReads(), 0u);
+}
+
+TEST_P(SystemKinds, TccdNeverBindsAtDefaultTimings)
+{
+    // At the default timings a burst lasts as long as tCCD, so the bus
+    // already spaces every pair of column commands of a rank at least
+    // tCCD apart: dropping tCCD must change no result. Refresh is off
+    // because the refresh check sees a column command before its bus
+    // wait, so there tCCD can still move a command past a tRFC window.
+    const auto &profile = WorkloadRegistry::byName("gcc");
+    SystemConfig cfg = smallConfig(GetParam());
+    cfg.dram.refreshEnabled = false;
+    SystemConfig free_cas = cfg;
+    free_cas.dram.tCCD = 0;
+    System with(profile, cfg);
+    System without(profile, free_cas);
+    std::string a;
+    std::string b;
+    appendResultsJson(a, with.run());
+    appendResultsJson(b, without.run());
+    EXPECT_EQ(a, b);
 }
 
 INSTANTIATE_TEST_SUITE_P(
