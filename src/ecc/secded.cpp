@@ -7,8 +7,8 @@ namespace cop {
 namespace {
 
 /**
- * Enumerate candidate data columns for a Hsiao code: odd weight >= 3,
- * ordered by weight then value, so code construction is deterministic.
+ * The data columns of a Hsiao code: odd weight >= 3, ordered by weight
+ * then value, so code construction is deterministic.
  *
  * Within one weight the walk uses the next-popcount-permutation trick
  * (Gosper's hack): each step produces the next-larger value with the
@@ -20,20 +20,47 @@ namespace {
  * unchanged against a brute-force recomputation.
  */
 std::vector<u32>
-hsiaoDataColumns(unsigned r, unsigned count)
+hsiaoDataColumns(unsigned k, unsigned r)
 {
+    COP_ASSERT(r >= 3 && r <= 16);
     std::vector<u32> cols;
-    cols.reserve(count);
+    cols.reserve(k);
     const u32 limit = 1u << r;
-    for (unsigned weight = 3; weight <= r && cols.size() < count;
+    for (unsigned weight = 3; weight <= r && cols.size() < k;
          weight += 2) {
         u32 v = (1u << weight) - 1; // smallest value of this weight
-        while (v < limit && cols.size() < count) {
+        while (v < limit && cols.size() < k) {
             cols.push_back(v);
             const u32 low = v & (~v + 1u);
             const u32 ripple = v + low;
             v = ripple | (((v ^ ripple) >> 2) / low);
         }
+    }
+    if (cols.size() < k) {
+        COP_FATAL("Hsiao(" + std::to_string(k + r) + "," +
+                  std::to_string(k) +
+                  ") impossible: not enough odd-weight columns");
+    }
+    return cols;
+}
+
+/**
+ * The data columns of a Hamming code: the non-power-of-two nonzero
+ * r-bit values in increasing order.
+ */
+std::vector<u32>
+hammingDataColumns(unsigned k, unsigned r)
+{
+    COP_ASSERT(r >= 2 && r <= 16);
+    std::vector<u32> cols;
+    cols.reserve(k);
+    for (u32 v = 3; v < (1u << r) && cols.size() < k; ++v) {
+        if (std::popcount(v) >= 2)
+            cols.push_back(v);
+    }
+    if (cols.size() < k) {
+        COP_FATAL("Hamming(" + std::to_string(k + r) + "," +
+                  std::to_string(k) + ") impossible");
     }
     return cols;
 }
@@ -52,8 +79,8 @@ buildSynToBit(const std::vector<u32> &columns, unsigned r)
 
 /**
  * Per-(byte position, byte value) syndrome contribution table — the
- * software analogue of the parallel XOR trees in Figure 2(b). Shared by
- * HsiaoCode and HammingCode; bits at positions >= n contribute nothing.
+ * software analogue of the parallel XOR trees in Figure 2(b); bits at
+ * positions >= n contribute nothing.
  */
 std::vector<u32>
 buildByteSyndromeTable(const std::vector<u32> &columns, unsigned n)
@@ -86,29 +113,39 @@ tableSyndrome(const std::vector<u32> &table, std::span<const u8> codeword,
     return s;
 }
 
-/**
- * One-pass encode shared by HsiaoCode and HammingCode (derivation at
- * HsiaoCode::encode): the check vector is the table syndrome of the k
- * data bits alone, k/8 whole bytes plus the low k%8 bits of the next.
- * The check field's old contents are never read, and bits at positions
- * >= n are left as they are.
- */
-void
-tableEncode(const std::vector<u32> &table, std::span<u8> codeword,
-            unsigned k, unsigned r)
+} // namespace
+
+SecCode::SecCode(unsigned check_bits, std::vector<u32> data_columns)
+    : k_(static_cast<unsigned>(data_columns.size())), r_(check_bits),
+      n_(k_ + check_bits), columns_(std::move(data_columns))
 {
-    COP_ASSERT(codeword.size() >= (k + r + 7) / 8);
-    const unsigned whole = k / 8;
-    const unsigned off = k % 8;
-    u32 s = tableSyndrome(table, codeword, whole);
+    for (unsigned i = 0; i < r_; ++i)
+        columns_.push_back(1u << i);
+    synToBit_ = buildSynToBit(columns_, r_);
+    byteSyn_ = buildByteSyndromeTable(columns_, n_);
+}
+
+void
+SecCode::encode(std::span<u8> codeword) const
+{
+    // Check bit i's column is the unit vector 1 << i, so a check vector
+    // c contributes exactly c to the syndrome. Setting c to the syndrome
+    // of the data bits alone (k/8 whole bytes plus the low k%8 bits of
+    // the next) therefore zeroes the total syndrome — one pass over the
+    // data bytes; the check field's old contents are never read, and
+    // bits at positions >= n are left as they are.
+    COP_ASSERT(codeword.size() >= codeBytes());
+    const unsigned whole = k_ / 8;
+    const unsigned off = k_ % 8;
+    u32 s = tableSyndrome(byteSyn_, codeword, whole);
     if (off != 0) {
         const unsigned low = codeword[whole] & ((1u << off) - 1u);
-        s ^= table[static_cast<size_t>(whole) * 256 + low];
+        s ^= byteSyn_[static_cast<size_t>(whole) * 256 + low];
     }
     // The r <= 16 check bits start at bit off of byte `whole`, so they
     // span at most three bytes: write them byte by byte, keeping the
     // data bits below and the bits past n above.
-    const u32 mask = ((1u << r) - 1u) << off;
+    const u32 mask = ((1u << r_) - 1u) << off;
     const u32 bits = s << off;
     for (unsigned i = 0; (mask >> (8 * i)) != 0; ++i) {
         const u8 m = static_cast<u8>(mask >> (8 * i));
@@ -117,42 +154,14 @@ tableEncode(const std::vector<u32> &table, std::span<u8> codeword,
     }
 }
 
-} // namespace
-
-HsiaoCode::HsiaoCode(unsigned data_bits, unsigned check_bits)
-    : k_(data_bits), r_(check_bits), n_(data_bits + check_bits)
-{
-    COP_ASSERT(r_ >= 3 && r_ <= 16);
-    auto data_cols = hsiaoDataColumns(r_, k_);
-    if (data_cols.size() < k_) {
-        COP_FATAL("Hsiao(" + std::to_string(n_) + "," + std::to_string(k_) +
-                  ") impossible: not enough odd-weight columns");
-    }
-    columns_ = std::move(data_cols);
-    for (unsigned i = 0; i < r_; ++i)
-        columns_.push_back(1u << i);
-    synToBit_ = buildSynToBit(columns_, r_);
-    byteSyn_ = buildByteSyndromeTable(columns_, n_);
-}
-
-void
-HsiaoCode::encode(std::span<u8> codeword) const
-{
-    // Check bit i's column is the unit vector 1 << i, so a check vector
-    // c contributes exactly c to the syndrome. Setting c to the syndrome
-    // of the data bits alone therefore zeroes the total syndrome — one
-    // pass over the data bytes, no need to clear the check field first.
-    tableEncode(byteSyn_, codeword, k_, r_);
-}
-
 u32
-HsiaoCode::syndrome(std::span<const u8> codeword) const
+SecCode::syndrome(std::span<const u8> codeword) const
 {
     return tableSyndrome(byteSyn_, codeword, codeBytes());
 }
 
 EccResult
-HsiaoCode::decode(std::span<u8> codeword) const
+SecCode::decode(std::span<u8> codeword) const
 {
     const u32 s = syndrome(codeword);
     if (s == 0)
@@ -167,50 +176,14 @@ HsiaoCode::decode(std::span<u8> codeword) const
     return {EccStatus::Uncorrectable, -1, even};
 }
 
+HsiaoCode::HsiaoCode(unsigned data_bits, unsigned check_bits)
+    : SecCode(check_bits, hsiaoDataColumns(data_bits, check_bits))
+{
+}
+
 HammingCode::HammingCode(unsigned data_bits, unsigned check_bits)
-    : k_(data_bits), r_(check_bits), n_(data_bits + check_bits)
+    : SecCode(check_bits, hammingDataColumns(data_bits, check_bits))
 {
-    COP_ASSERT(r_ >= 2 && r_ <= 16);
-    columns_.reserve(n_);
-    for (u32 v = 3; v < (1u << r_) && columns_.size() < k_; ++v) {
-        if (std::popcount(v) >= 2)
-            columns_.push_back(v);
-    }
-    if (columns_.size() < k_) {
-        COP_FATAL("Hamming(" + std::to_string(n_) + "," +
-                  std::to_string(k_) + ") impossible");
-    }
-    for (unsigned i = 0; i < r_; ++i)
-        columns_.push_back(1u << i);
-
-    synToBit_ = buildSynToBit(columns_, r_);
-    byteSyn_ = buildByteSyndromeTable(columns_, n_);
-}
-
-void
-HammingCode::encode(std::span<u8> codeword) const
-{
-    tableEncode(byteSyn_, codeword, k_, r_);
-}
-
-u32
-HammingCode::syndrome(std::span<const u8> codeword) const
-{
-    return tableSyndrome(byteSyn_, codeword, codeBytes());
-}
-
-EccResult
-HammingCode::decode(std::span<u8> codeword) const
-{
-    const u32 s = syndrome(codeword);
-    if (s == 0)
-        return {EccStatus::Ok, -1, false};
-    const int bit = synToBit_[s];
-    if (bit >= 0) {
-        flipBit(codeword, static_cast<unsigned>(bit));
-        return {EccStatus::Corrected, bit, false};
-    }
-    return {EccStatus::Uncorrectable, -1, false};
 }
 
 namespace codes {

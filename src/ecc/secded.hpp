@@ -36,7 +36,7 @@ enum class EccStatus {
     Uncorrectable,  ///< Detected but not correctable (e.g. double error).
 };
 
-/** Result of HsiaoCode::decode / HammingCode::decode. */
+/** Result of SecCode::decode. */
 struct EccResult
 {
     EccStatus status = EccStatus::Ok;
@@ -55,23 +55,19 @@ struct EccResult
 };
 
 /**
- * A Hsiao SECDED code with k data bits and r check bits (n = k + r total).
- *
- * Data-bit columns are the odd-weight r-bit vectors of weight >= 3,
- * enumerated in increasing weight then increasing numeric value; check-bit
- * i's column is the unit vector 1 << i. Construction fails (fatal) if k
- * exceeds the number of available odd-weight columns.
+ * A linear single-error-correcting code with k data bits and r check
+ * bits (n = k + r total), defined by one r-bit column per codeword bit:
+ * the data columns its subclass picks, then check bit i's unit vector
+ * 1 << i. The subclasses differ only in that choice of data columns.
  *
  * The implementation precomputes a per-(byte-position, byte-value)
  * syndrome table so that syndrome generation costs one table lookup and
  * XOR per codeword byte — the software analogue of the parallel XOR trees
  * in Figure 2(b) of the paper.
  */
-class HsiaoCode
+class SecCode
 {
   public:
-    HsiaoCode(unsigned data_bits, unsigned check_bits);
-
     unsigned dataBits() const { return k_; }
     unsigned checkBits() const { return r_; }
     unsigned codeBits() const { return n_; }
@@ -111,6 +107,10 @@ class HsiaoCode
      */
     int bitForSyndrome(u32 s) const { return synToBit_[s]; }
 
+  protected:
+    /** @p data_columns holds one distinct r-bit column per data bit. */
+    SecCode(unsigned check_bits, std::vector<u32> data_columns);
+
   private:
     unsigned k_;
     unsigned r_;
@@ -124,46 +124,30 @@ class HsiaoCode
 };
 
 /**
+ * A Hsiao SECDED code: data-bit columns are the odd-weight r-bit
+ * vectors of weight >= 3, enumerated in increasing weight then
+ * increasing numeric value, so every column has odd weight and an even
+ * nonzero syndrome flags a double error. Construction fails (fatal) if
+ * k exceeds the number of available odd-weight columns.
+ */
+class HsiaoCode : public SecCode
+{
+  public:
+    HsiaoCode(unsigned data_bits, unsigned check_bits);
+};
+
+/**
  * A Hamming single-error-correcting (SEC, no guaranteed double detection)
  * code. COP-ER uses a (34,28) instance to protect the ECC-region pointer
  * embedded in incompressible blocks (Section 3.3): 6 check bits cannot
  * support SECDED for 28 data bits, and the paper only requires correction.
- *
- * Same codeword layout as HsiaoCode. Data columns are the non-power-of-two
- * nonzero r-bit values in increasing order; check columns are unit vectors.
- * Syndromes use the same per-byte lookup table as HsiaoCode.
+ * Data columns are the non-power-of-two nonzero r-bit values in
+ * increasing order.
  */
-class HammingCode
+class HammingCode : public SecCode
 {
   public:
     HammingCode(unsigned data_bits, unsigned check_bits);
-
-    unsigned dataBits() const { return k_; }
-    unsigned checkBits() const { return r_; }
-    unsigned codeBits() const { return n_; }
-    unsigned codeBytes() const { return (n_ + 7) / 8; }
-
-    void encode(std::span<u8> codeword) const;
-    u32 syndrome(std::span<const u8> codeword) const;
-    EccResult decode(std::span<u8> codeword) const;
-
-    /** Column (syndrome signature) of bit @p idx — exposed for tests. */
-    u32 column(unsigned idx) const { return columns_[idx]; }
-
-    /**
-     * Codeword bit the decoder would flip for syndrome @p s, or -1 when
-     * @p s is not a single-error signature (see HsiaoCode::bitForSyndrome).
-     */
-    int bitForSyndrome(u32 s) const { return synToBit_[s]; }
-
-  private:
-    unsigned k_;
-    unsigned r_;
-    unsigned n_;
-    std::vector<u32> columns_;
-    std::vector<int> synToBit_;
-    /** [byte_pos * 256 + byte_value] -> syndrome contribution. */
-    std::vector<u32> byteSyn_;
 };
 
 /** Lazily constructed shared instances of the codes COP uses. */

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "ecc/secded.hpp"
 #include "reliability/error_model.hpp"
 
 namespace cop {
@@ -58,14 +59,13 @@ enum class SecFix : u8 {
 };
 
 /**
- * Run a SEC decoder's column algebra (HsiaoCode or HammingCode) on word
- * @p word of a flip pattern: gather the word's codeword positions of
- * @p flips, placed by @p layout, into @p pos, decode, and leave in
- * @p pos the flips the decoder hands on.
+ * Run a SEC decoder's column algebra on word @p word of a flip
+ * pattern: gather the word's codeword positions of @p flips, placed by
+ * @p layout, into @p pos, decode, and leave in @p pos the flips the
+ * decoder hands on.
  */
-template <class Code>
-SecFix
-resolveSecWord(const Code &code, const WordLayout &layout,
+inline SecFix
+resolveSecWord(const SecCode &code, const WordLayout &layout,
                const std::vector<unsigned> &flips, unsigned word,
                std::vector<unsigned> &pos)
 {

@@ -4,16 +4,6 @@
 #include <cstring>
 #include <istream>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define COP_TRACE_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#define COP_TRACE_HAVE_MMAP 0
-#endif
-
 #include "trace/format.hpp"
 
 namespace cop {
@@ -49,6 +39,21 @@ BinaryTraceSource::BinaryTraceSource(std::unique_ptr<std::istream> in)
     readHeader();
 }
 
+bool
+BinaryTraceSource::fill(size_t bytes)
+{
+    const size_t unparsed = end_ - pos_;
+    if (unparsed >= bytes)
+        return true;
+    std::memmove(window_.data(), window_.data() + pos_, unparsed);
+    pos_ = 0;
+    end_ = unparsed;
+    in_.read(reinterpret_cast<char *>(window_.data() + end_),
+             static_cast<std::streamsize>(window_.size() - end_));
+    end_ += static_cast<size_t>(in_.gcount());
+    return end_ >= bytes;
+}
+
 void
 BinaryTraceSource::readHeader()
 {
@@ -68,47 +73,54 @@ BinaryTraceSource::readHeader()
     }
     in_.clear(); // failed seeks on pipes must not poison the stream
 
-    char magic[trace::kMagicBytes];
-    in_.read(magic, sizeof(magic));
-    if (in_.gcount() != sizeof(magic)) {
+    window_.resize(kWindowBytes);
+    if (!fill(trace::kMagicBytes))
         COP_FATAL("not a COP trace stream (short magic)");
-    } else if (std::memcmp(magic, trace::kMagicV2, sizeof(magic)) == 0) {
+    size_t count_bytes = 0;
+    if (std::memcmp(window_.data(), trace::kMagicV2,
+                    trace::kMagicBytes) == 0) {
         version_ = 2;
-        if (!trace::readScalarLe(in_, declared_))
-            COP_FATAL("truncated trace header");
-        consumed_ = trace::kMagicBytes + sizeof(u64);
-    } else if (std::memcmp(magic, trace::kMagicV1, sizeof(magic)) == 0) {
+        count_bytes = sizeof(u64);
+    } else if (std::memcmp(window_.data(), trace::kMagicV1,
+                           trace::kMagicBytes) == 0) {
         version_ = 1;
-        u32 declared32 = 0;
-        if (!trace::readScalarLe(in_, declared32))
-            COP_FATAL("truncated trace header");
-        declared_ = declared32;
-        consumed_ = trace::kMagicBytes + sizeof(u32);
+        count_bytes = sizeof(u32);
     } else {
         COP_FATAL("not a COP trace stream (bad magic)");
     }
+    consumed_ = trace::kMagicBytes + count_bytes;
+    if (!fill(consumed_))
+        COP_FATAL("truncated trace header");
+    const unsigned char *count = window_.data() + trace::kMagicBytes;
+    declared_ = version_ == 2 ? trace::loadLe<u64>(count)
+                              : trace::loadLe<u32>(count);
+    pos_ = consumed_;
 }
 
 bool
 BinaryTraceSource::next(Epoch &epoch)
 {
-    u64 instructions;
-    if (!trace::readScalarLe(in_, instructions)) {
+    if (!fill(trace::kEpochHeaderBytes)) {
         // End of stream at an epoch boundary: only legitimate when the
-        // header declared no count or exactly this many epochs.
-        if (declared_ != 0 && epochs_ != declared_) {
+        // header declared no count or exactly this many epochs. A cut
+        // inside the instruction count reads as the same short stream.
+        const size_t partial = end_ - pos_;
+        if (partial < sizeof(u64) && declared_ != 0 &&
+            epochs_ != declared_) {
             COP_FATAL("trace declares " + std::to_string(declared_) +
                       " epochs but the stream ended after " +
                       std::to_string(epochs_));
         }
+        if (partial != 0)
+            COP_FATAL("truncated trace epoch header");
         return false;
     }
-    u32 count;
-    if (!trace::readScalarLe(in_, count))
-        COP_FATAL("truncated trace epoch header");
+    const unsigned char *header = window_.data() + pos_;
+    epoch.instructions = trace::loadLe<u64>(header);
+    const u32 count = trace::loadLe<u32>(header + sizeof(u64));
+    pos_ += trace::kEpochHeaderBytes;
     consumed_ += trace::kEpochHeaderBytes;
 
-    epoch.instructions = instructions;
     epoch.accesses.clear();
     if (sizeKnown_) {
         // The whole point of the up-front measurement: an untrusted
@@ -121,130 +133,27 @@ BinaryTraceSource::next(Epoch &epoch)
     } else {
         epoch.accesses.reserve(std::min(count, kUnboundedReserveCap));
     }
-    for (u32 i = 0; i < count; ++i) {
-        u64 word;
-        if (!trace::readScalarLe(in_, word))
+    // Decode the records the window holds, refill, repeat: a record
+    // cut by the window's end is slid to the front by the refill.
+    for (u32 left = count; left > 0;) {
+        if (!fill(trace::kAccessBytes))
             COP_FATAL("truncated trace access record");
-        epoch.accesses.push_back(
-            {word & ~static_cast<u64>(1), (word & 1) != 0});
+        const u32 in_window = static_cast<u32>(
+            std::min<size_t>(left, (end_ - pos_) / trace::kAccessBytes));
+        const unsigned char *record = window_.data() + pos_;
+        for (u32 i = 0; i < in_window; ++i) {
+            const u64 word = trace::loadLe<u64>(record);
+            record += trace::kAccessBytes;
+            epoch.accesses.push_back(
+                {word & ~static_cast<u64>(1), (word & 1) != 0});
+        }
+        pos_ += static_cast<size_t>(in_window) * trace::kAccessBytes;
+        left -= in_window;
     }
     consumed_ += static_cast<u64>(count) * trace::kAccessBytes;
     ++epochs_;
     accesses_ += count;
     return true;
 }
-
-// ---------------------------------------------------------------- mmap
-
-bool
-MmapTraceSource::supported()
-{
-    return COP_TRACE_HAVE_MMAP != 0;
-}
-
-#if COP_TRACE_HAVE_MMAP
-
-MmapTraceSource::MmapTraceSource(const std::string &path) : path_(path)
-{
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-        COP_FATAL("cannot open trace " + path);
-    struct stat st;
-    if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
-        ::close(fd);
-        COP_FATAL("cannot mmap trace " + path + " (not a regular file)");
-    }
-    size_ = static_cast<u64>(st.st_size);
-    if (size_ > 0) {
-        void *map = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
-        if (map == MAP_FAILED) {
-            ::close(fd);
-            COP_FATAL("cannot mmap trace " + path);
-        }
-        // Sequential readahead + drop-behind: the mapping streams
-        // through the page cache instead of accumulating residency.
-        ::madvise(map, size_, MADV_SEQUENTIAL);
-        base_ = static_cast<const unsigned char *>(map);
-    }
-    ::close(fd); // the mapping keeps its own reference
-
-    if (size_ < trace::kMagicBytes + sizeof(u32))
-        COP_FATAL("not a COP trace stream (short magic): " + path);
-    if (std::memcmp(base_, trace::kMagicV2, trace::kMagicBytes) == 0) {
-        version_ = 2;
-        if (size_ < trace::kMagicBytes + sizeof(u64))
-            COP_FATAL("truncated trace header: " + path);
-        declared_ = trace::loadLe<u64>(base_ + trace::kMagicBytes);
-        pos_ = trace::kMagicBytes + sizeof(u64);
-    } else if (std::memcmp(base_, trace::kMagicV1,
-                           trace::kMagicBytes) == 0) {
-        version_ = 1;
-        declared_ = trace::loadLe<u32>(base_ + trace::kMagicBytes);
-        pos_ = trace::kMagicBytes + sizeof(u32);
-    } else {
-        COP_FATAL("not a COP trace stream (bad magic): " + path);
-    }
-}
-
-MmapTraceSource::~MmapTraceSource()
-{
-    if (base_ != nullptr)
-        ::munmap(const_cast<unsigned char *>(base_), size_);
-}
-
-bool
-MmapTraceSource::next(Epoch &epoch)
-{
-    if (pos_ == size_) {
-        if (declared_ != 0 && epochs_ != declared_) {
-            COP_FATAL("trace declares " + std::to_string(declared_) +
-                      " epochs but the stream ended after " +
-                      std::to_string(epochs_));
-        }
-        return false;
-    }
-    if (size_ - pos_ < trace::kEpochHeaderBytes)
-        COP_FATAL("truncated trace epoch header: " + path_);
-    epoch.instructions = trace::loadLe<u64>(base_ + pos_);
-    const u32 count = trace::loadLe<u32>(base_ + pos_ + sizeof(u64));
-    pos_ += trace::kEpochHeaderBytes;
-
-    const u64 remaining = size_ - pos_;
-    if (static_cast<u64>(count) * trace::kAccessBytes > remaining) {
-        COP_FATAL("trace epoch declares " + std::to_string(count) +
-                  " accesses but only " +
-                  std::to_string(remaining / trace::kAccessBytes) +
-                  " more fit in the remaining stream bytes");
-    }
-    epoch.accesses.clear();
-    epoch.accesses.reserve(count);
-    for (u32 i = 0; i < count; ++i) {
-        const u64 word = trace::loadLe<u64>(base_ + pos_);
-        pos_ += trace::kAccessBytes;
-        epoch.accesses.push_back(
-            {word & ~static_cast<u64>(1), (word & 1) != 0});
-    }
-    ++epochs_;
-    accesses_ += count;
-    return true;
-}
-
-#else // !COP_TRACE_HAVE_MMAP
-
-MmapTraceSource::MmapTraceSource(const std::string &path) : path_(path)
-{
-    COP_FATAL("mmap trace ingestion is not supported on this platform; "
-              "use the buffered binary reader for " + path);
-}
-
-MmapTraceSource::~MmapTraceSource() = default;
-
-bool
-MmapTraceSource::next(Epoch &)
-{
-    COP_FATAL("mmap trace ingestion is not supported on this platform");
-}
-
-#endif // COP_TRACE_HAVE_MMAP
 
 } // namespace cop

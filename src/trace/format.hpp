@@ -1,7 +1,7 @@
 /**
  * @file
  * The on-disk COP trace format, shared by the writer (sim/trace_io)
- * and every streaming reader (trace/binary_source, trace/mmap path).
+ * and the one binary reader (trace/binary_source).
  *
  * v2 (current, magic "COPTRC2\0"):
  *   header : magic (8 bytes), u64 epoch count (0 if unknown at write

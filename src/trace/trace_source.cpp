@@ -1,10 +1,8 @@
 #include "trace/trace_source.hpp"
 
-#include <cstring>
 #include <fstream>
 
 #include "trace/binary_source.hpp"
-#include "trace/format.hpp"
 #include "trace/gzip_source.hpp"
 #include "trace/text_source.hpp"
 
@@ -48,24 +46,22 @@ openFile(const std::string &path)
     return in;
 }
 
-/** Sniff the leading bytes of a fresh stream, then rewind it. */
+/**
+ * Pick the format from the first byte, peeked without consuming it so
+ * that pipes and FIFOs need no rewind: every COPTRC magic starts with
+ * 'C', every gzip member with 0x1f, and a text trace with '#', a digit
+ * or whitespace. The chosen reader then checks its own framing, so a
+ * genuinely alien file still dies loudly in one of them (bad magic,
+ * inflate error, or a text line number) rather than here with a guess.
+ */
 TraceFormat
-sniff(std::istream &in, const std::string &path)
+sniff(std::istream &in)
 {
-    unsigned char head[trace::kMagicBytes] = {};
-    in.read(reinterpret_cast<char *>(head), sizeof(head));
-    const std::streamsize got = in.gcount();
-    in.clear();
-    in.seekg(0);
-    if (!in)
-        COP_FATAL("cannot rewind trace " + path + " after sniffing");
-    if (got >= 2 && head[0] == 0x1f && head[1] == 0x8b)
-        return TraceFormat::Gzip;
-    if (got >= 6 && std::memcmp(head, "COPTRC", 6) == 0)
-        return TraceFormat::Binary;
-    // Anything else is treated as text; a genuinely alien file dies in
-    // the text parser with a line number rather than here with a guess.
-    return TraceFormat::Text;
+    switch (in.peek()) {
+    case 0x1f: return TraceFormat::Gzip;
+    case 'C': return TraceFormat::Binary;
+    default: return TraceFormat::Text;
+    }
 }
 
 } // namespace
@@ -75,25 +71,10 @@ openTraceSource(const std::string &path, TraceFormat format)
 {
     auto in = openFile(path);
     if (format == TraceFormat::Auto)
-        format = sniff(*in, path);
+        format = sniff(*in);
 
     switch (format) {
     case TraceFormat::Binary:
-        // mmap fast path for regular files; anything it cannot map
-        // (FIFOs, /dev/stdin) streams through the buffered reader.
-        if (MmapTraceSource::supported()) {
-            // The mmap ctor is fatal on non-regular files, so only
-            // take it when the stream is seekable to a real end
-            // (regular-file behaviour).
-            in->seekg(0, std::ios::end);
-            const bool seekable = static_cast<bool>(*in);
-            in->clear();
-            in->seekg(0);
-            if (seekable) {
-                in.reset(); // release the fd before mapping
-                return std::make_unique<MmapTraceSource>(path);
-            }
-        }
         return std::make_unique<BinaryTraceSource>(std::move(in));
     case TraceFormat::Text:
         return std::make_unique<TextTraceSource>(std::move(in));

@@ -9,14 +9,14 @@
  *
  * Three formats, all interchangeable behind this interface:
  *   binary  the compact COPTRC format (v1 and v2; see trace/format.hpp),
- *           with an mmap fast path for seekable regular files;
+ *           decoded from a fixed read window by the one COPTRC parser;
  *   text    one `<addr> R|W` access per line with `#epoch <instr>`
  *           markers — greppable, diffable, writable by any tool;
  *   gzip    the binary format behind a bounded-buffer zlib inflater
  *           (compressed traces stream straight from disk).
  *
- * `openTraceSource` sniffs the leading bytes so callers rarely need to
- * name the format. Corruption is always fatal and loud (COP_FATAL with
+ * `openTraceSource` sniffs the first byte so callers rarely need to
+ * name the format, on pipes and FIFOs as well as on regular files. Corruption is always fatal and loud (COP_FATAL with
  * the offending structure named); a clean end-of-stream is the only
  * path that returns false from next().
  */
@@ -33,7 +33,7 @@ namespace cop {
 
 /** How a trace file is encoded on disk. */
 enum class TraceFormat : u8 {
-    Auto,   ///< Sniff the leading bytes (gzip magic / COPTRC / text).
+    Auto,   ///< Sniff the first byte (gzip magic / COPTRC / text).
     Binary, ///< COPTRC v1/v2.
     Text,   ///< `#epoch` markers + `<addr> R|W` lines.
     Gzip,   ///< gzip-wrapped COPTRC.
@@ -86,11 +86,10 @@ class TraceSource
 };
 
 /**
- * Open @p path as a streaming trace source. Format Auto sniffs the
- * first bytes; binary sources on seekable regular files take the mmap
- * fast path automatically (falling back to buffered stream reads when
- * mapping fails). Fatal on unreadable files, unknown formats, or — for
- * Gzip — a build without zlib.
+ * Open @p path as a streaming trace source. Format Auto peeks at the
+ * first byte without consuming it, so it needs no rewind and works on
+ * FIFOs and /dev/stdin. Fatal on unreadable files, unknown formats, or
+ * — for Gzip — a build without zlib.
  */
 std::unique_ptr<TraceSource> openTraceSource(
     const std::string &path, TraceFormat format = TraceFormat::Auto);

@@ -2,15 +2,19 @@
  * @file
  * Tests for the trace ingestion subsystem (src/trace/): the corrupt
  * trace corpus (bad magic, truncations, hostile declared counts), v1
- * compatibility, the little-endian on-disk pin, text / gzip / mmap
- * parity with the buffered binary reader, format auto-detection, and
- * profile fitting.
+ * compatibility, the little-endian on-disk pin, text / gzip parity
+ * with the binary reader, records cut by the binary reader's window,
+ * format auto-detection on files and FIFOs, and profile fitting.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "sim/trace_io.hpp"
 #include "trace/binary_source.hpp"
@@ -510,37 +514,150 @@ TEST(TraceOpen, AutoDetectsAllThreeEncodings)
     }
 }
 
-TEST(TraceOpen, MmapSourceMatchesStreamReader)
+TEST(TraceOpenDeath, FileRejectsGiantDeclaredAccessCount)
 {
-    if (!MmapTraceSource::supported())
-        GTEST_SKIP() << "no mmap on this platform";
-    const std::string bytes = sampleTraceBytes();
-    const std::string path = tempPath("mmap_parity.coptrc");
-    writeFile(path, bytes);
-    MmapTraceSource mapped(path);
-    EXPECT_EQ(mapped.formatVersion(), 2u);
-    EXPECT_EQ(mapped.declaredEpochs(), 3u);
-    std::istringstream in(bytes);
-    BinaryTraceSource streamed(in);
-    expectSameStream(mapped, streamed);
-}
-
-TEST(TraceOpenDeath, MmapRejectsGiantDeclaredAccessCount)
-{
-    if (!MmapTraceSource::supported())
-        GTEST_SKIP() << "no mmap on this platform";
+    // The seekable-file path measures the file and checks the count
+    // against it before any allocation.
     std::stringstream buf;
     buf.write(trace::kMagicV2, trace::kMagicBytes);
     trace::writeScalarLe<u64>(buf, 0);
     trace::writeScalarLe<u64>(buf, 1000);
     trace::writeScalarLe<u32>(buf, 0xFFFFFFFFu);
-    const std::string path = tempPath("mmap_giant.coptrc");
+    const std::string path = tempPath("file_giant.coptrc");
     writeFile(path, buf.str());
-    MmapTraceSource src(path);
+    const auto src = openTraceSource(path);
     Epoch e;
     EXPECT_DEATH(
-        { src.next(e); },
+        { src->next(e); },
         "declares 4294967295 accesses but only 0 more fit");
+}
+
+TEST(TraceOpen, AutoDetectsEveryEncodingThroughFifo)
+{
+    // A FIFO cannot be rewound: the sniff must leave the stream where
+    // the chosen reader expects it.
+    const std::string bytes = sampleTraceBytes();
+    std::stringstream text;
+    {
+        std::istringstream in(bytes);
+        BinaryTraceSource src(in);
+        writeTextTrace(src, text);
+    }
+    std::vector<std::string> encodings = {bytes, text.str()};
+    if (gzipSupported())
+        encodings.push_back(gzipBytes(bytes, "fifo.coptrc.gz"));
+
+    const std::string path = tempPath("auto_detect.fifo");
+    for (const std::string &encoded : encodings) {
+        ::unlink(path.c_str());
+        ASSERT_EQ(::mkfifo(path.c_str(), 0600), 0);
+        // Opening a FIFO blocks until both ends are open, so the writer
+        // needs its own thread.
+        std::thread writer([&] {
+            std::ofstream out(path, std::ios::binary);
+            out << encoded;
+        });
+        {
+            const auto src = openTraceSource(path);
+            std::istringstream ref_in(bytes);
+            BinaryTraceSource reference(ref_in);
+            expectSameStream(*src, reference);
+        }
+        writer.join();
+    }
+    ::unlink(path.c_str());
+}
+
+// ---------------------------------------------------- window edges
+
+/** Epochs captured for the window-edge tests: over two windows. */
+constexpr u64 kEdgeEpochs = 40000;
+
+std::string
+capturedBytes()
+{
+    std::stringstream buf;
+    captureTrace(WorkloadRegistry::byName("mcf"), 0, kEdgeEpochs, buf);
+    return buf.str();
+}
+
+/** Assert that @p src delivers exactly the generator's epochs. */
+void
+expectGeneratorStream(TraceSource &src)
+{
+    TraceGenerator reference(WorkloadRegistry::byName("mcf"), 0);
+    Epoch replayed;
+    for (u64 i = 0; i < kEdgeEpochs; ++i) {
+        ASSERT_TRUE(src.next(replayed)) << "epoch " << i;
+        expectEpochsEqual(replayed, reference.next());
+    }
+    EXPECT_FALSE(src.next(replayed));
+}
+
+TEST(TraceWindow, CaptureSpansSeveralWindows)
+{
+    // The premise of the tests below: most refills cut a record.
+    EXPECT_GT(capturedBytes().size(), 2 * BinaryTraceSource::kWindowBytes);
+}
+
+TEST(TraceWindow, FileReadsAcrossWindowEdges)
+{
+    const std::string path = tempPath("window_edges.coptrc");
+    writeFile(path, capturedBytes());
+    expectGeneratorStream(*openTraceSource(path));
+}
+
+TEST(TraceWindow, UnseekableStreamReadsAcrossWindowEdges)
+{
+    UnseekableBuf pipe(capturedBytes());
+    std::istream in(&pipe);
+    BinaryTraceSource src(in);
+    expectGeneratorStream(src);
+}
+
+TEST(TraceWindow, GzipReadsAcrossWindowEdges)
+{
+    if (!gzipSupported())
+        GTEST_SKIP() << "built without zlib";
+    GzipTraceSource src(std::make_unique<std::istringstream>(
+        gzipBytes(capturedBytes(), "window_edges.coptrc.gz")));
+    expectGeneratorStream(src);
+}
+
+TEST(TraceWindow, EpochLongerThanWindowReadsInPieces)
+{
+    // One epoch of 2.5 windows of records, then two short ones, through
+    // a pipe (capped reserve) and a file (measured reserve). Its records
+    // start 28 bytes in, so the window edges cut them in half.
+    const u64 records = 5 * BinaryTraceSource::kWindowBytes / 16;
+    Epoch big;
+    big.instructions = 7;
+    for (u64 i = 0; i < records; ++i)
+        big.accesses.push_back({i * 64, i % 3 == 0});
+    std::stringstream buf;
+    {
+        TraceWriter writer(buf);
+        writer.write(big);
+        writer.write(epochOf(1, {{64, true}}));
+        writer.write(epochOf(2, {}));
+    }
+    const std::string path = tempPath("long_epoch.coptrc");
+    writeFile(path, buf.str());
+    UnseekableBuf pipe(buf.str());
+    std::istream piped(&pipe);
+    BinaryTraceSource streamed(piped);
+    const auto filed = openTraceSource(path);
+    for (TraceSource *src : {static_cast<TraceSource *>(&streamed),
+                             filed.get()}) {
+        Epoch e;
+        ASSERT_TRUE(src->next(e));
+        expectEpochsEqual(e, big);
+        ASSERT_TRUE(src->next(e));
+        ASSERT_TRUE(src->next(e));
+        EXPECT_EQ(e.instructions, 2u);
+        EXPECT_FALSE(src->next(e));
+        EXPECT_EQ(src->accessesRead(), records + 1);
+    }
 }
 
 // --------------------------------------------------------------- fit
