@@ -1499,10 +1499,6 @@ ablationScrubbing(Grid &grid, const Options &)
  */
 constexpr double kCampaignEventsPerMegacycle = 800.0;
 
-/** Trials / seed of the analytic on-die model columns. */
-constexpr u64 kOndieModelTrials = 200000;
-constexpr u64 kOndieModelSeed = 0x0D1E0DE1ULL;
-
 /** One campaign cell beyond the (benchmark) axis. */
 struct CampaignCell
 {
@@ -1664,8 +1660,7 @@ faultCampaign(Grid &grid, const Options &opt)
             ConditionalOutcome model;
             if (cell.ondie) {
                 model = OndieEcc::model(primaryClass(cell.kind),
-                                        cell.flips, kOndieModelTrials,
-                                        kOndieModelSeed)
+                                        cell.flips)
                             .onArrival;
             } else {
                 model = ErrorRateModel::conditionalOutcome(

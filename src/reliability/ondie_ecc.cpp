@@ -1,6 +1,7 @@
 #include "reliability/ondie_ecc.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "ecc/secded.hpp"
 #include "reliability/pattern_model.hpp"
@@ -50,35 +51,52 @@ OndieEcc::filter(unsigned stored_bits,
 }
 
 OndieModelResult
-OndieEcc::model(VulnClass cls, unsigned raw_flips, u64 trials, u64 seed)
+OndieEcc::model(VulnClass cls, unsigned raw_flips)
 {
-    COP_ASSERT(raw_flips > 0 && trials > 0);
     const unsigned stored = ErrorRateModel::storedBitsOf(cls);
+    const unsigned bits = extendedBits(stored);
+    COP_ASSERT(raw_flips > 0 && raw_flips <= bits);
 
-    Rng rng(seed);
+    // Every pattern of raw_flips distinct positions, in lexicographic
+    // order: one pattern per visit, each weighed equally.
+    std::vector<unsigned> raw(raw_flips);
+    std::iota(raw.begin(), raw.end(), 0u);
     std::vector<unsigned> fwd;
-    u64 corrected = 0, miscorrected = 0, forwarded = 0;
+    u64 on_die[3] = {0, 0, 0};     // by OndieOutcome
+    u64 arrival[4] = {0, 0, 0, 0}; // by OutcomeKind, forwarded only
+    u64 patterns = 0;
+    for (;;) {
+        const OndieOutcome o = filter(stored, raw, fwd);
+        ++on_die[static_cast<unsigned>(o)];
+        if (o != OndieOutcome::Corrected)
+            ++arrival[static_cast<unsigned>(
+                ErrorRateModel::classifyPattern(cls, fwd))];
+        ++patterns;
+        // Advance the rightmost position that still has room, and pack
+        // the ones after it directly behind it.
+        unsigned i = raw_flips;
+        while (i > 0 && raw[i - 1] == bits - raw_flips + (i - 1))
+            --i;
+        if (i == 0)
+            break;
+        ++raw[i - 1];
+        for (unsigned j = i; j < raw_flips; ++j)
+            raw[j] = raw[j - 1] + 1;
+    }
+
     OndieModelResult res;
-    res.onArrival = tallyOutcomes(
-        rng, extendedBits(stored), raw_flips, trials,
-        [&](const std::vector<unsigned> &raw)
-            -> std::optional<OutcomeKind> {
-            switch (filter(stored, raw, fwd)) {
-              case OndieOutcome::Corrected:
-                ++corrected;
-                return std::nullopt;
-              case OndieOutcome::Miscorrected:
-                ++miscorrected;
-                break;
-              case OndieOutcome::Forwarded:
-                ++forwarded;
-                break;
-            }
-            return ErrorRateModel::classifyPattern(cls, fwd);
-        });
-    res.correctedOnDie = static_cast<double>(corrected) / trials;
-    res.miscorrectedOnDie = static_cast<double>(miscorrected) / trials;
-    res.forwardedOnDie = static_cast<double>(forwarded) / trials;
+    const auto all = static_cast<double>(patterns);
+    res.correctedOnDie = on_die[0] / all;
+    res.miscorrectedOnDie = on_die[1] / all;
+    res.forwardedOnDie = on_die[2] / all;
+    const u64 forwarded = patterns - on_die[0];
+    if (forwarded > 0) {
+        const auto n = static_cast<double>(forwarded);
+        res.onArrival.benign = arrival[0] / n;
+        res.onArrival.corrected = arrival[1] / n;
+        res.onArrival.detected = arrival[2] / n;
+        res.onArrival.silent = arrival[3] / n;
+    }
     return res;
 }
 

@@ -38,8 +38,6 @@
 
 namespace cop {
 
-class Rng;
-
 /** What one on-die filtered fault event looked like to the host. */
 enum class OndieOutcome : u8 {
     /** Every flip scrubbed (or confined to hidden check bits). */
@@ -104,16 +102,17 @@ class OndieEcc
                                std::vector<unsigned> &out);
 
     /**
-     * Monte-Carlo estimate of the composed on-die + rank-level outcome
-     * split for @p raw_flips uniform raw flips over the extended
-     * geometry of @p cls (seeded, deterministic). `onArrival`
+     * Exact composed on-die + rank-level outcome split for @p raw_flips
+     * uniform raw flips over the extended geometry of @p cls: every
+     * pattern of that many distinct positions is filtered and counted
+     * once (147k-189k patterns per class at two flips). `onArrival`
      * classifies each *forwarded* pattern with the same exact
      * column-algebra classifier the 3+-flip conditionalOutcome uses,
      * so it is directly comparable to a measured err_* split from a
-     * campaign running with FaultConfig::ondieEcc on.
+     * campaign running with FaultConfig::ondieEcc on. Callers pass one
+     * or two flips; the pattern count grows as extendedBits^raw_flips.
      */
-    static OndieModelResult model(VulnClass cls, unsigned raw_flips,
-                                  u64 trials, u64 seed);
+    static OndieModelResult model(VulnClass cls, unsigned raw_flips);
 };
 
 } // namespace cop

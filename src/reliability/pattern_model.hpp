@@ -2,21 +2,17 @@
  * @file
  * Pieces shared by the flip-pattern models, ErrorRateModel's
  * classifier and the OndieEcc filter: where a stored bit sits in a
- * block's codewords, the one SEC word resolver, and the one seeded
- * Monte-Carlo tally. Private to src/reliability/.
+ * block's codewords and the one SEC word resolver. Private to
+ * src/reliability/.
  */
 
 #ifndef COP_RELIABILITY_PATTERN_MODEL_HPP
 #define COP_RELIABILITY_PATTERN_MODEL_HPP
 
 #include <algorithm>
-#include <functional>
-#include <optional>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "ecc/secded.hpp"
-#include "reliability/error_model.hpp"
 
 namespace cop {
 
@@ -97,18 +93,6 @@ resolveSecWord(const SecCode &code, const WordLayout &layout,
     pos.push_back(static_cast<unsigned>(fix));
     return SecFix::Added;
 }
-
-/**
- * The seeded Monte-Carlo tally behind the 3+-flip conditionalOutcome
- * and OndieEcc::model: @p trials patterns of @p flips distinct
- * positions below @p bits, drawn from @p rng, each mapped by
- * @p classify to an outcome (or to none, leaving it uncounted), and
- * normalised over the counted patterns (all zero if none counts).
- */
-ConditionalOutcome tallyOutcomes(
-    Rng &rng, unsigned bits, unsigned flips, u64 trials,
-    const std::function<std::optional<OutcomeKind>(
-        const std::vector<unsigned> &)> &classify);
 
 } // namespace cop
 
