@@ -110,7 +110,7 @@ class OndieEcc
      * column-algebra classifier the 3+-flip conditionalOutcome uses,
      * so it is directly comparable to a measured err_* split from a
      * campaign running with FaultConfig::ondieEcc on. Callers pass one
-     * or two flips; the pattern count grows as extendedBits^raw_flips.
+     * or two flips; the pattern count is C(extendedBits, raw_flips).
      */
     static OndieModelResult model(VulnClass cls, unsigned raw_flips);
 };

@@ -4,7 +4,7 @@
  * as a std::streambuf, so GzipTraceSource is just BinaryTraceSource
  * reading through it — one code path parses both .coptrc and
  * .coptrc.gz, and a multi-gigabyte compressed trace streams with two
- * fixed 256 KiB buffers. The matching deflater backs `trace_tool
+ * fixed 256 KiB buffers plus the binary reader's window. The matching deflater backs `trace_tool
  * convert --format gz` and gzip capture.
  *
  * Builds without zlib keep the symbols but every constructor dies with

@@ -177,6 +177,25 @@ TEST(TraceSourceCorpus, RejectsTruncatedEpochHeader)
     EXPECT_DEATH({ src.next(e); }, "truncated trace epoch header");
 }
 
+TEST(TraceSourceCorpus, RejectsPartialEpochHeaderWithoutDeclaredCount)
+{
+    // A count-less trace (header count 0) cut three bytes into the
+    // next instruction count: no declared count can explain the short
+    // stream, so the partial header is fatal rather than dropped.
+    std::stringstream buf;
+    buf.write(trace::kMagicV2, trace::kMagicBytes);
+    trace::writeScalarLe<u64>(buf, 0);
+    trace::writeScalarLe<u64>(buf, 1000);
+    trace::writeScalarLe<u32>(buf, 0);
+    buf.write("\x01\x02\x03", 3);
+    UnseekableBuf pipe(buf.str());
+    std::istream in(&pipe);
+    BinaryTraceSource src(in);
+    Epoch e;
+    ASSERT_TRUE(src.next(e));
+    EXPECT_DEATH({ src.next(e); }, "truncated trace epoch header");
+}
+
 TEST(TraceSourceCorpus, RejectsTruncatedAccessRecord)
 {
     // First epoch declares 2 accesses; keep only 1 of them. On an
@@ -594,16 +613,13 @@ expectGeneratorStream(TraceSource &src)
     EXPECT_FALSE(src.next(replayed));
 }
 
-TEST(TraceWindow, CaptureSpansSeveralWindows)
-{
-    // The premise of the tests below: most refills cut a record.
-    EXPECT_GT(capturedBytes().size(), 2 * BinaryTraceSource::kWindowBytes);
-}
-
 TEST(TraceWindow, FileReadsAcrossWindowEdges)
 {
+    const std::string bytes = capturedBytes();
+    // The premise of these tests: several refills, most cutting a record.
+    ASSERT_GT(bytes.size(), 2 * BinaryTraceSource::kWindowBytes);
     const std::string path = tempPath("window_edges.coptrc");
-    writeFile(path, capturedBytes());
+    writeFile(path, bytes);
     expectGeneratorStream(*openTraceSource(path));
 }
 
