@@ -1485,8 +1485,8 @@ ablationScrubbing(Grid &grid, const Options &)
 // an accelerated rate, recovery armed and verifyData as the SDC
 // oracle. Each scheme's measured outcome split sits next to the error
 // model's conditional outcome. +od rows add per-chip (136,128) SEC
-// beneath the scheme; 3-flip rows exercise the model's Monte-Carlo
-// extension; +ad rows run adaptive ECC-region capacity with faults in
+// beneath the scheme; 3-flip rows exercise the model's exact 3-flip
+// census; +ad rows run adaptive ECC-region capacity with faults in
 // flight. --quick runs a reduced grid that still yields every scalar
 // scripts/check_perf.py gates. The split is per scheme, not per
 // protection class: a 2-flip cross-word pattern makes a compressed
@@ -1573,8 +1573,8 @@ faultCampaign(Grid &grid, const Options &opt)
                 cells.push_back({kind, flips, true, false});
             }
         }
-        // 3 flips exceed the closed forms: the analytic columns come
-        // from the seeded Monte-Carlo estimator.
+        // 3 flips: the analytic columns come from the exact census's
+        // triple counts, the most flips it counts.
         for (const ControllerKind kind :
              {ControllerKind::EccDimm, ControllerKind::Cop4,
               ControllerKind::CopEr})

@@ -299,38 +299,48 @@ MemoryController::read(Addr addr, Cycle now)
         r = again;
     }
 
+    settleDecodeError(addr, now, r);
+    // After a DUE the page-level copy (functional truth) replaces the
+    // fill, so execution continues past it; detectedUncorrectable stays
+    // set for the caller's bookkeeping.
+    if (r.detectedUncorrectable)
+        r.data = content(addr);
+    return r;
+}
+
+void
+MemoryController::settleDecodeError(Addr addr, Cycle now,
+                                    const MemReadResult &r)
+{
+    const bool scrub = opMode_ == OpMode::Scrub;
     if (r.detectedUncorrectable) {
-        fault_.log.note(ErrorEventKind::Detected, r.fillClass, addr, now,
-                        r.retries);
+        fault_.log.note(scrub ? ErrorEventKind::ScrubDetected
+                              : ErrorEventKind::Detected,
+                        r.fillClass, addr, now, r.retries);
         fault_.faulted.erase(addr);
         recoverDetected(addr, now, r.wasUncompressed);
-        // The page-level copy (functional truth) replaces the fill, so
-        // execution continues past the DUE; detectedUncorrectable stays
-        // set for the caller's bookkeeping.
-        r.data = content(addr);
-        return r;
-    }
-    if (r.correctedError) {
+    } else if (r.correctedError) {
         if (r.data == content(addr)) {
-            // Scrub-on-read: restore the clean image so the same fault
-            // is not corrected again (and cannot meet a second strike
-            // later).
-            fault_.log.note(ErrorEventKind::Corrected, r.fillClass, addr,
-                            now, r.retries);
+            // Restore the clean image so the same fault is not
+            // corrected again (and cannot meet a second strike later);
+            // on a demand read this is scrub-on-read.
+            fault_.log.note(scrub ? ErrorEventKind::ScrubCorrected
+                                  : ErrorEventKind::Corrected,
+                            r.fillClass, addr, now, r.retries);
             fault_.faulted.erase(addr);
-            ++fault_.log.scrubOnReadWrites;
+            if (!scrub)
+                ++fault_.log.scrubOnReadWrites;
             recoveryWriteback(addr, r.data, now, r.wasUncompressed);
         } else {
             // Miscorrection: a multi-flip pattern aliased into some
             // single-bit syndrome and the decoder "fixed" it into
             // plausible-but-wrong data. The writeback commits the wrong
-            // image as clean; keep the block marked faulted so the SDC
-            // oracle books the fill as silent corruption.
+            // image as clean; keep the block marked faulted so the
+            // demand SDC oracle books the fill as silent corruption.
             recoveryWriteback(addr, r.data, now, r.wasUncompressed);
             fault_.faulted.insert(addr);
         }
     }
-    return r;
 }
 
 void
@@ -383,24 +393,7 @@ MemoryController::patrolScrub(Addr addr, Cycle now)
     opMode_ = OpMode::Scrub;
     MemReadResult r = readImpl(addr, now);
     r.fillClass = lastFillClass_;
-    if (r.detectedUncorrectable) {
-        fault_.log.note(ErrorEventKind::ScrubDetected, r.fillClass, addr,
-                        now);
-        fault_.faulted.erase(addr);
-        recoverDetected(addr, now, r.wasUncompressed);
-    } else if (r.correctedError) {
-        if (r.data == content(addr)) {
-            fault_.log.note(ErrorEventKind::ScrubCorrected, r.fillClass,
-                            addr, now);
-            fault_.faulted.erase(addr);
-            recoveryWriteback(addr, r.data, now, r.wasUncompressed);
-        } else {
-            // Scrub-time miscorrection (see read()): commit the wrong
-            // image but keep the faulted mark for the demand oracle.
-            recoveryWriteback(addr, r.data, now, r.wasUncompressed);
-            fault_.faulted.insert(addr);
-        }
-    }
+    settleDecodeError(addr, now, r);
     // The visit resets the block's vulnerability clock only when a code
     // checked it, mirroring the analytic model: an unprotected block
     // (no ECC, or a raw COP block) cannot be verified.

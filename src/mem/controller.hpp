@@ -507,6 +507,13 @@ class MemoryController
     Addr pageBase(Addr addr) const;
     /** Re-apply registered stuck bits after an image rewrite. */
     void applyStuckBits(Addr addr);
+    /**
+     * Settle a demand or patrol-scrub decode @p r that raised an error:
+     * book a DUE and repair it with recoverDetected, or book a
+     * correction and write the repaired image back (a miscorrection is
+     * written back too, with the block kept marked faulted).
+     */
+    void settleDecodeError(Addr addr, Cycle now, const MemReadResult &r);
     /** Repair a DUE block: retire-if-due, then rewrite from truth. */
     void recoverDetected(Addr addr, Cycle now, bool was_uncompressed);
     /** writeback() for recovery, handling the alias-reject edge. */

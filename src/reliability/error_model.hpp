@@ -114,22 +114,15 @@ class ErrorRateModel
 
     /**
      * Outcome probabilities for one read after @p cycles of exposure
-     * under @p cls. Derivations (per 64-byte block; p = per-bit flip
-     * probability):
-     *
-     * - Unprotected: any flip is silent; P = 512 p.
-     * - EccDimm: 576 stored bits in 8 (72,64) words; singles corrected;
-     *   two flips in one word are detected (DUE).
-     * - CopProtected4: 512 bits in 4 (128,120) words; one flip
-     *   corrected; two flips in one word -> DUE; two flips in different
-     *   words leave only 2 valid code words, so the decoder hands the
-     *   block over as raw data -> silent (Section 3.1).
-     * - CopProtected8: 8 (64,56) words with a 5-of-8 threshold: flips
-     *   in up to 3 distinct words are all corrected; two flips in one
-     *   word -> DUE.
-     * - WideCode / CopErUncompressed: one (523,512) word; singles
-     *   corrected, doubles detected. (COP-ER additionally SEC-protects
-     *   the pointer, which is already inside the 523-bit word here.)
+     * under @p cls (p = per-bit flip probability). Unprotected: any
+     * flip is silent, P = 512 p. Every protected class corrects
+     * singles, so its second-order terms are the exact census's pair
+     * counts times p^2: a pair in one SECDED word is detected (DUE);
+     * a pair across words is two corrected singles, except in COP-4B,
+     * where it leaves only 2 of 4 valid codewords and the block is
+     * handed over as raw data, silently (Section 3.1). COP-8B's
+     * 5-of-8 threshold survives any cross-word pair; the wide
+     * (523,512) word (ECC region, COP-ER) detects every pair.
      */
     ExposureOutcome outcome(VulnClass cls, double cycles) const;
 
@@ -139,13 +132,12 @@ class ErrorRateModel
      * class: 512 inline bits for COP, 576 for an ECC DIMM, 523 for the
      * wide code). This is what a live fault-injection campaign at a
      * fixed flips-per-event samples, so measured class rates can be
-     * checked against it directly. For flips <= 2 this is the exact
-     * closed form (the regimes the second-order exposure model
-     * distinguishes); for 3+ flips — reachable once on-die
-     * miscorrection can expand a 2-flip raw event into 3 stored flips —
-     * it degrades to a documented, seeded Monte-Carlo estimate: uniform
-     * patterns classified exactly by classifyPattern(), cached per
-     * (class, flips), deterministic run-to-run.
+     * checked against it directly. Exact for every flips <= 3: the
+     * census counts each pattern, each resolved by the same column
+     * algebra as classifyPattern(), and the split is count / C(N,
+     * flips). More than 3 flips is fatal: no caller asks (campaigns use
+     * 1-3, and on-die miscorrection grows a 2-flip raw event to at
+     * most 3 stored flips).
      */
     static ConditionalOutcome conditionalOutcome(VulnClass cls,
                                                  unsigned flips);
@@ -164,7 +156,7 @@ class ErrorRateModel
     /**
      * Stored-bit count of the model geometry for @p cls (512 inline
      * bits for COP and unprotected, 576 for an ECC DIMM, 523 for the
-     * wide code) — the space conditionalOutcome samples patterns over.
+     * wide code) — the space conditionalOutcome counts patterns over.
      */
     static unsigned storedBitsOf(VulnClass cls);
 

@@ -7,20 +7,6 @@
 
 namespace cop {
 
-double
-FaultConfig::eventsPerMegacycleFromFit(double fit_per_mbit,
-                                       u64 footprint_bytes,
-                                       double core_ghz,
-                                       double acceleration)
-{
-    COP_ASSERT(fit_per_mbit >= 0 && core_ghz > 0 && acceleration >= 0);
-    const double mbits =
-        static_cast<double>(footprint_bytes) * 8.0 / (1u << 20);
-    const double events_per_hour = fit_per_mbit * mbits * 1e-9;
-    const double cycles_per_hour = 3600.0 * core_ghz * 1e9;
-    return events_per_hour / cycles_per_hour * 1e6 * acceleration;
-}
-
 LiveInjector::LiveInjector(const FaultConfig &cfg, MemoryController &ctl,
                            u64 footprint_bytes, u64 seed_salt)
     : cfg_(cfg), ctl_(ctl),

@@ -77,16 +77,6 @@ struct FaultConfig
     std::vector<PlannedFault> campaign;
 
     bool operator==(const FaultConfig &) const = default;
-
-    /**
-     * Event rate implied by a raw FIT rate (failures per 10^9 device
-     * hours per Mbit) over a resident footprint, optionally
-     * accelerated so that simulation-scale runs observe errors.
-     */
-    static double eventsPerMegacycleFromFit(double fit_per_mbit,
-                                            u64 footprint_bytes,
-                                            double core_ghz,
-                                            double acceleration = 1.0);
 };
 
 /** Drives fault arrivals and the patrol scrubber for one System. */

@@ -1,7 +1,7 @@
 #include "reliability/ondie_ecc.hpp"
 
 #include <algorithm>
-#include <numeric>
+#include <array>
 
 #include "ecc/secded.hpp"
 #include "reliability/pattern_model.hpp"
@@ -29,9 +29,8 @@ OndieEcc::filter(unsigned stored_bits,
         // column match: detected on die, but the chip has no reporting
         // channel. A matched column is undone for a lone flip; with two
         // or more flips the SEC adds one, forwarded to the host.
-        miscorrected |=
-            resolveSecWord(code, layout, raw_flips, w, pos) ==
-            SecFix::Added;
+        gatherWord(layout, raw_flips, w, pos);
+        miscorrected |= resolveSec(code, pos) == SecFix::Added;
         for (const unsigned p : pos) {
             if (p >= kWordBits)
                 continue; // residue in hidden check bits: invisible
@@ -57,46 +56,26 @@ OndieEcc::model(VulnClass cls, unsigned raw_flips)
     const unsigned bits = extendedBits(stored);
     COP_ASSERT(raw_flips > 0 && raw_flips <= bits);
 
-    // Every pattern of raw_flips distinct positions, in lexicographic
-    // order: one pattern per visit, each weighed equally.
-    std::vector<unsigned> raw(raw_flips);
-    std::iota(raw.begin(), raw.end(), 0u);
+    // Every pattern of raw_flips distinct positions, each weighed
+    // equally.
     std::vector<unsigned> fwd;
-    u64 on_die[3] = {0, 0, 0};     // by OndieOutcome
-    u64 arrival[4] = {0, 0, 0, 0}; // by OutcomeKind, forwarded only
-    u64 patterns = 0;
-    for (;;) {
+    u64 on_die[3] = {0, 0, 0};    // by OndieOutcome
+    std::array<u64, 4> arrival{}; // by OutcomeKind, forwarded only
+    forEachPattern(bits, raw_flips, [&](const std::vector<unsigned> &raw) {
         const OndieOutcome o = filter(stored, raw, fwd);
         ++on_die[static_cast<unsigned>(o)];
         if (o != OndieOutcome::Corrected)
             ++arrival[static_cast<unsigned>(
                 ErrorRateModel::classifyPattern(cls, fwd))];
-        ++patterns;
-        // Advance the rightmost position that still has room, and pack
-        // the ones after it directly behind it.
-        unsigned i = raw_flips;
-        while (i > 0 && raw[i - 1] == bits - raw_flips + (i - 1))
-            --i;
-        if (i == 0)
-            break;
-        ++raw[i - 1];
-        for (unsigned j = i; j < raw_flips; ++j)
-            raw[j] = raw[j - 1] + 1;
-    }
+    });
 
     OndieModelResult res;
-    const auto all = static_cast<double>(patterns);
+    const auto all = static_cast<double>(on_die[0] + on_die[1] + on_die[2]);
     res.correctedOnDie = on_die[0] / all;
     res.miscorrectedOnDie = on_die[1] / all;
     res.forwardedOnDie = on_die[2] / all;
-    const u64 forwarded = patterns - on_die[0];
-    if (forwarded > 0) {
-        const auto n = static_cast<double>(forwarded);
-        res.onArrival.benign = arrival[0] / n;
-        res.onArrival.corrected = arrival[1] / n;
-        res.onArrival.detected = arrival[2] / n;
-        res.onArrival.silent = arrival[3] / n;
-    }
+    if (const u64 forwarded = on_die[1] + on_die[2]; forwarded > 0)
+        res.onArrival = outcomeShares(arrival, forwarded);
     return res;
 }
 

@@ -106,11 +106,11 @@ class OndieEcc
      * uniform raw flips over the extended geometry of @p cls: every
      * pattern of that many distinct positions is filtered and counted
      * once (147k-189k patterns per class at two flips). `onArrival`
-     * classifies each *forwarded* pattern with the same exact
-     * column-algebra classifier the 3+-flip conditionalOutcome uses,
-     * so it is directly comparable to a measured err_* split from a
-     * campaign running with FaultConfig::ondieEcc on. Callers pass one
-     * or two flips; the pattern count is C(extendedBits, raw_flips).
+     * classifies each *forwarded* pattern with classifyPattern (whose
+     * resolver and verdict conditionalOutcome's census shares), so it
+     * is directly comparable to a measured err_* split from a campaign
+     * with FaultConfig::ondieEcc on. Callers pass one or two flips; the
+     * pattern count is C(extendedBits, raw_flips).
      */
     static OndieModelResult model(VulnClass cls, unsigned raw_flips);
 };

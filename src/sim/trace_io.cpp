@@ -1,8 +1,8 @@
 #include "sim/trace_io.hpp"
 
 #include <ostream>
-#include <unordered_set>
 
+#include "common/flat_map.hpp"
 #include "trace/format.hpp"
 
 namespace cop {
@@ -64,7 +64,7 @@ TraceSummary
 summarizeTrace(TraceSource &src)
 {
     TraceSummary summary;
-    std::unordered_set<Addr> blocks;
+    FlatSet blocks;
     Epoch epoch;
     while (src.next(epoch)) {
         ++summary.epochs;

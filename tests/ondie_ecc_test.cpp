@@ -255,23 +255,30 @@ TEST(OndieEcc, ClassifyPatternMatchesClosedFormsAtTwoFlips)
     }
 }
 
-TEST(OndieEcc, ConditionalOutcomeExtendsToFourFlips)
+TEST(OndieEcc, ConditionalOutcomeExtendsToThreeFlips)
 {
     using M = ErrorRateModel;
     for (const VulnClass cls :
          {VulnClass::EccDimm, VulnClass::CopProtected4,
           VulnClass::CopProtected8, VulnClass::WideCode}) {
-        for (const unsigned flips : {3u, 4u}) {
-            const ConditionalOutcome o = M::conditionalOutcome(cls, flips);
-            EXPECT_NEAR(o.benign + o.corrected + o.detected + o.silent,
-                        1.0, 1e-9)
-                << "cls " << static_cast<int>(cls) << " f" << flips;
-            // Cached: the second call must reproduce exactly.
-            const ConditionalOutcome again =
-                M::conditionalOutcome(cls, flips);
-            EXPECT_DOUBLE_EQ(o.silent, again.silent);
-        }
+        const ConditionalOutcome o = M::conditionalOutcome(cls, 3);
+        EXPECT_NEAR(o.benign + o.corrected + o.detected + o.silent, 1.0,
+                    1e-9)
+            << "cls " << static_cast<int>(cls);
+        // A pure function of the code: a second call reproduces it.
+        const ConditionalOutcome again = M::conditionalOutcome(cls, 3);
+        EXPECT_DOUBLE_EQ(o.silent, again.silent);
     }
+}
+
+TEST(OndieEccDeathTest, ConditionalOutcomePastThreeFlipsDies)
+{
+    // The census counts at most three flips, the most any caller asks
+    // for (fault_campaign's flip axis, a miscorrected on-die double).
+    for (const VulnClass cls : {VulnClass::EccDimm, VulnClass::WideCode,
+                                VulnClass::Unprotected})
+        EXPECT_DEATH(ErrorRateModel::conditionalOutcome(cls, 4),
+                     "counts at most 3 flips");
 }
 
 // ---------------------------------------------------------------------

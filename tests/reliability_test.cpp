@@ -7,8 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <numeric>
+#include <vector>
+
 #include "reliability/error_model.hpp"
 #include "reliability/fault_injector.hpp"
+#include "reliability/pattern_model.hpp"
 #include "test_blocks.hpp"
 
 namespace cop {
@@ -333,8 +339,8 @@ TEST(ErrorModel, ConditionalOutcomeMatchesGeometry)
     EXPECT_DOUBLE_EQ(
         M::conditionalOutcome(VulnClass::CopProtected4, 1).corrected,
         1.0);
-    // Doubles split by word geometry (cross-checked against the
-    // Monte-Carlo fractions above).
+    // Doubles split by word geometry: the census's pair counts over
+    // C(N, 2) reproduce the same-word fractions.
     const ConditionalOutcome cop4 =
         M::conditionalOutcome(VulnClass::CopProtected4, 2);
     EXPECT_NEAR(cop4.detected, 127.0 / 511.0, 1e-12);
@@ -349,9 +355,9 @@ TEST(ErrorModel, ConditionalOutcomeMatchesGeometry)
     // One wide word: every double is detected.
     EXPECT_DOUBLE_EQ(
         M::conditionalOutcome(VulnClass::WideCode, 2).detected, 1.0);
-    // Three-plus flips fall back to the seeded Monte-Carlo estimate: a
-    // proper distribution, deterministic across calls, and a triple in
-    // one 72-bit DIMM word can never be silently corrected away.
+    // Three flips come from the exact census as well: a proper
+    // distribution, the same on every call, and a triple in one 72-bit
+    // DIMM word can never be silently corrected away.
     const ConditionalOutcome dimm3 =
         M::conditionalOutcome(VulnClass::EccDimm, 3);
     EXPECT_NEAR(dimm3.benign + dimm3.corrected + dimm3.detected +
@@ -368,6 +374,93 @@ TEST(ErrorModel, ConditionalOutcomeMatchesGeometry)
     EXPECT_DOUBLE_EQ(wide3.benign, 0.0);
     EXPECT_GT(wide3.detected, 0.0);
     EXPECT_GT(wide3.silent, 0.0);
+}
+
+/** Every triple of @p bits under @p cls, classified, by OutcomeKind. */
+std::array<u64, 4>
+classifyEveryTriple(VulnClass cls, const std::vector<unsigned> &bits)
+{
+    std::array<u64, 4> tally{};
+    std::vector<unsigned> pattern;
+    for (size_t a = 0; a < bits.size(); ++a)
+        for (size_t b = a + 1; b < bits.size(); ++b)
+            for (size_t c = b + 1; c < bits.size(); ++c) {
+                pattern = {bits[a], bits[b], bits[c]};
+                ++tally[static_cast<unsigned>(
+                    ErrorRateModel::classifyPattern(cls, pattern))];
+            }
+    return tally;
+}
+
+TEST(ErrorModel, ThreeFlipOutcomeCountsEveryTriple)
+{
+    using M = ErrorRateModel;
+    // conditionalOutcome(cls, 3) is count / C(N, 3): recover the counts
+    // and pin them (benign is 0 everywhere: at distance 4, no word hit
+    // by 1-3 flips has a zero syndrome). For ECC DIMM and COP-8B,
+    // classify every triple of stored bits and require the same counts.
+    struct Pin
+    {
+        VulnClass cls;
+        u64 corrected, detected, silent;
+        bool bruteForce;
+    };
+    const Pin pins[] = {
+        {VulnClass::EccDimm, 20901888, 10509600, 273312, true},
+        {VulnClass::CopProtected4, 0, 0, 22238720, false},
+        {VulnClass::CopProtected8, 14680064, 7386624, 172032, true},
+        {VulnClass::WideCode, 0, 10798117, 12907904, false},
+        {VulnClass::CopErUncompressed, 0, 10798117, 12907904, false},
+    };
+    for (const Pin &pin : pins) {
+        const u64 n = M::storedBitsOf(pin.cls);
+        const auto triples = static_cast<double>(n * (n - 1) * (n - 2) / 6);
+        const ConditionalOutcome o = M::conditionalOutcome(pin.cls, 3);
+        const std::array<u64, 4> census = {
+            static_cast<u64>(std::llround(o.benign * triples)),
+            static_cast<u64>(std::llround(o.corrected * triples)),
+            static_cast<u64>(std::llround(o.detected * triples)),
+            static_cast<u64>(std::llround(o.silent * triples))};
+        const std::array<u64, 4> pinned = {0, pin.corrected, pin.detected,
+                                           pin.silent};
+        EXPECT_EQ(census, pinned) << "cls " << static_cast<int>(pin.cls);
+        if (!pin.bruteForce)
+            continue;
+        std::vector<unsigned> every(n);
+        std::iota(every.begin(), every.end(), 0u);
+        EXPECT_EQ(classifyEveryTriple(pin.cls, every), census)
+            << "cls " << static_cast<int>(pin.cls);
+    }
+}
+
+TEST(ErrorModel, WordCensusMatchesClassifierInsideWordZero)
+{
+    // The census of one codeword, read through the block verdict with
+    // every other word clean, must count each triple inside word 0
+    // exactly as the classifier does; this also checks the appended
+    // check-bit layout of the ECC DIMM.
+    for (const VulnClass cls :
+         {VulnClass::EccDimm, VulnClass::CopProtected4,
+          VulnClass::CopProtected8, VulnClass::WideCode}) {
+        const ClassGeometry geo = geometryOf(cls);
+        const WordCensus word = censusWord(*geo.code);
+        std::array<u64, 4> expected{};
+        for (unsigned fate = 0; fate < kFates; ++fate)
+            expected[static_cast<unsigned>(
+                geo.verdict(fate & kInvalid, fate))] += word[3][fate];
+
+        const WordLayout layout = geo.layout();
+        std::vector<unsigned> word0;
+        for (unsigned b = 0; b < geo.storedBits(); ++b) {
+            unsigned w, pos;
+            layout.locate(b, w, pos);
+            if (w == 0)
+                word0.push_back(b);
+        }
+        ASSERT_EQ(word0.size(), geo.code->codeBits());
+        EXPECT_EQ(classifyEveryTriple(cls, word0), expected)
+            << "cls " << static_cast<int>(cls);
+    }
 }
 
 TEST(FaultInjector, MonteCarloMatchesAnalyticDoubleErrorSplit)
